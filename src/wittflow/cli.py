@@ -301,8 +301,8 @@ def cmd_kernel(args) -> int:
     import numpy as np
     from . import verify
     from .kernels import KernelParams, SpaceTimePoint, fundamental_solution
-    from .lattice import (LatticeSpec, periodized_solution_batch,
-                          shell_points, tail_bound, _signs_of)
+    from .lattice import (LatticeSpec, brute_force_periodized,
+                          periodized_solution_batch)
     verify.ensure_convention()
     try:
         point = tuple(float(v) for v in args.point.split(","))
@@ -329,21 +329,12 @@ def cmd_kernel(args) -> int:
         print(",".join(format(v, ".12g") for v in value))
         return 0
     if args.shells is not None:
-        x = np.asarray(point)
-        value = np.zeros(7)
-        for m in range(args.shells + 1):
-            shell = shell_points(m, spec)
-            if not len(shell.points) or args.time <= 0:
-                continue
-            from .kernels import fundamental_solution_array
-            shifted = x[None, :] + shell.points
-            signs = _signs_of(shell.points, spec)
-            contrib = fundamental_solution_array(
-                shifted, np.full(len(shifted), args.time), params.k)
-            value += signs @ contrib
-        r = float(np.linalg.norm(x))
-        tail = (tail_bound(args.shells + 1, r, args.time, params)
-                if args.time > 0 and args.shells + 1 > r else float("inf"))
+        value, tail = brute_force_periodized(
+            np.asarray(point)[None, :], args.time, params, spec,
+            radius=args.shells)
+        value = value[0]
+        if args.time <= 0:
+            tail = float("inf")
         shells_used = args.shells + 1
     else:
         tol = args.tol if args.tol is not None else 1e-10
@@ -439,7 +430,7 @@ def _check_operators(out_dir: Path) -> list[tuple[str, bool]]:
         study = verify.borel_pompeiu_study(lattice=lattice)
         _write_text(out_dir / f"{study.name}.csv", study.csv_rows())
         results.append((study.name, study.passed))
-        rep = verify.volume_reproduction_study(lattice=lattice)
+        rep = verify.volume_reproduction_study(study)
         _write_text(out_dir / f"{rep.name}.csv", rep.csv_rows())
         results.append((rep.name, rep.passed))
     hodge = verify.hodge_study()

@@ -174,22 +174,25 @@ def periodized_solution_batch(points: np.ndarray, t: float,
         return (fundamental_solution_array(points, np.full(n, t), params.k),
                 0.0, 1)
     r = float(np.max(np.linalg.norm(points, axis=1)))
-    value = np.zeros((n, 7))
-    for m in range(MAX_SHELLS + 1):
-        shell = shell_points(m, spec)
-        if len(shell.points):
-            signs = _signs_of(shell.points, spec)
-            shifted = points[:, None, :] + shell.points[None, :, :]
-            contrib = fundamental_solution_array(
-                shifted, np.full(shifted.shape[:-1], t), params.k)
-            value += np.einsum("j,ijc->ic", signs, contrib)
-        if m + 1 > r:
-            tail = tail_bound(m + 1, r, t, params)
+    # plan the shell count from the tail bound before evaluating any kernel
+    for last in range(MAX_SHELLS + 1):
+        if last + 1 > r:
+            tail = tail_bound(last + 1, r, t, params)
             if tail < target_tol:
-                return value, tail, m + 1
-    raise RuntimeError(
-        f"periodized kernel did not reach tolerance {target_tol} within "
-        f"{MAX_SHELLS} shells")
+                break
+    else:
+        raise RuntimeError(
+            f"periodized kernel did not reach tolerance {target_tol} within "
+            f"{MAX_SHELLS} shells")
+    value = np.zeros((n, 7))
+    for m in range(last + 1):
+        shell = shell_points(m, spec)
+        signs = _signs_of(shell.points, spec)
+        shifted = points[:, None, :] + shell.points[None, :, :]
+        contrib = fundamental_solution_array(
+            shifted, np.full(shifted.shape[:-1], t), params.k)
+        value += np.einsum("j,ijc->ic", signs, contrib)
+    return value, tail, last + 1
 
 
 def periodized_fundamental_solution(p: SpaceTimePoint, params: KernelParams,
@@ -217,7 +220,9 @@ def brute_force_periodized(points: np.ndarray, t: float,
     """Reference summation over every lattice point with max-norm <= radius.
 
     Returns (values, own_tail_bound); used to validate the shell-summed
-    implementation against an independent enumeration.
+    implementation against an independent enumeration.  The tail bound is
+    infinite when ``radius + 1`` does not exceed the largest point radius,
+    where the analytic bound does not apply.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
@@ -232,8 +237,10 @@ def brute_force_periodized(points: np.ndarray, t: float,
         shifted = points[:, None, :] + shell.points[None, :, :]
         contrib = fundamental_solution_array(
             shifted, np.full(shifted.shape[:-1], t), params.k)
-        value += np.einsum("j,ijc->ic", signs, contrib)
+        value += signs @ contrib
     if spec.rank == 0:
         return value, 0.0
     r = float(np.max(np.linalg.norm(points, axis=1)))
+    if radius + 1 <= r:
+        return value, float("inf")
     return value, tail_bound(radius + 1, r, t, params)

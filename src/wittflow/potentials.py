@@ -6,16 +6,16 @@ All kernels are evaluated at (output - source) offsets, so only strictly
 earlier time slabs ever contribute (the kernel is causal and vanishes on the
 coincident slab, which also removes the singular cell from the quadrature).
 Offsets live on structured ladders, so every operator is a space-time
-convolution: volume and boundary applications run through FFTs on padded
-(free) or wrapped (periodized) axes.  Antiperiodic generators are handled by
-doubling the axis with a sign twist.
+convolution with an algebra-valued kernel table, applied through FFTs on
+padded (free) or wrapped (periodized) axes.  Antiperiodic generators are
+handled by doubling the axis with a sign twist.
 
 The Bergman projection is computed algebraically from the boundary system
 ``trace o volume o boundary`` restricted to the causally active boundary
 components (the terminal cap, and the conormal null directions of each
 element, contribute nothing to the boundary potential and are excluded from
-the square system).  The factorization is cached per (domain, kernel
-parameter, lattice, tolerance) key.
+the square system).  Kernel tables, face groups and the factorization are
+built once per ``OperatorContext`` and live as long as it does.
 """
 
 from __future__ import annotations
@@ -41,18 +41,9 @@ __all__ = [
     "bergman_projection",
     "bergman_complement",
     "bergman_projection_adjoint",
-    "clear_caches",
 ]
 
 _STRUCTURE = structure_tensor()
-_CACHE_VERSION = 1
-
-# Module-level cache for factorized boundary systems and kernel tables.
-_FACTOR_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _FACTOR_CACHE.clear()
 
 
 @dataclass
@@ -74,14 +65,15 @@ class BoundaryData:
         return cls(np.zeros((domain.n_boundary, 7)), domain)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorContext:
     """Domain, kernel parameter and lattice wiring for the operator stack.
 
     ``quad_tol`` drives the periodized-kernel shell summation;
     ``bergman_reg`` scales the ridge fallback for an ill-conditioned
     boundary system.  Construction requires a calibrated operator
-    convention.
+    convention.  The context owns every kernel table and factorization
+    built for it; it is frozen so that they cannot go stale.
     """
 
     domain: Domain
@@ -89,7 +81,8 @@ class OperatorContext:
     lattice: LatticeSpec = dataclass_field(default_factory=LatticeSpec)
     quad_tol: float = 1e-10
     bergman_reg: float = 1e-10
-    _local: dict = dataclass_field(default_factory=dict, repr=False)
+    _cache: dict = dataclass_field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     def __post_init__(self):
         active_convention()
@@ -105,22 +98,10 @@ class OperatorContext:
                     f"axis {d}: grid periodicity {g.periodic[d]} does not "
                     f"match lattice rank {self.lattice.rank}")
 
-    # -- cache plumbing ----------------------------------------------------
-
-    def _key(self, name: str):
-        g = self.domain.grid
-        return (_CACHE_VERSION, name, g.h, g.dt, g.dims, g.nt, g.periodic,
-                g.t0, self.params.k, self.lattice.rank,
-                self.lattice.anti_flags, self.quad_tol, self.bergman_reg)
-
     def _cached(self, name: str, build):
-        key = self._key(name)
-        hit = _FACTOR_CACHE.get(key)
-        if hit is None:
-            hit = build()
-            _FACTOR_CACHE[key] = hit
-        self._local[name] = hit
-        return hit
+        if name not in self._cache:
+            self._cache[name] = build()
+        return self._cache[name]
 
 
 # ---------------------------------------------------------------------------
@@ -180,124 +161,169 @@ def _eval_kernel_grid(ctx: OperatorContext, xo: list[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# FFT convolution engine
+# FFT convolution primitive
 # ---------------------------------------------------------------------------
 
-class _ConvEngine:
-    """Space-time convolution with a fixed algebra-valued kernel table.
+class _Convolution:
+    """Convolution with a fixed algebra-valued kernel table.
 
-    apply:      R(y) = sum_x mul(K(y - x), u(x)) * scale
-    transpose:  R(x) = sum_y mul_matrix(K(y - x))^T w(y) * scale
+    The table has shape (L, *fft_shape, 7).  Its leading axis is indexed
+    directly (one output per index ``l``); the remaining axes hold wrapped
+    offsets and are convolved by FFT:
 
-    Free axes are zero padded to hold every offset; periodized axes wrap
+    apply:      R_l(y) = sum_x mul(K_l(y - x), u(x))
+    transpose:  R(x) = sum_l sum_y mul_matrix(K_l(y - x))^T w_l(y)
+
+    Data of shape ``data_shape`` sits at the origin of each FFT axis.  Free
+    axes are zero padded to hold every offset; periodized axes wrap
     naturally; antiperiodic axes wrap with doubled period (the kernel table
     itself carries the sign law, so plain zero padding of the data gives
-    the single-counted twisted sum).  Strict causality of the kernel is
-    enforced structurally: output slabs at or before the first active input
-    slab are exact zeros, not transform roundoff.
+    the single-counted twisted sum).  The product is contracted over the
+    nonzero structure constants; all of them are +-1, so each term adds or
+    subtracts one pointwise product of spectra.
     """
 
     def __init__(self, table: np.ndarray, data_shape):
         self.data_shape = tuple(data_shape)
-        self.fft_shape = table.shape[:-1]
-        axes = (1, 2, 3, 4)
+        self.fft_shape = table.shape[1:-1]
         self.k_hat = np.fft.rfftn(np.moveaxis(table, -1, 0),
-                                  s=self.fft_shape, axes=axes)
-        self.pairs = []
-        for a in range(7):
-            if not np.any(table[..., a]):
-                continue
-            for b in range(7):
-                if np.any(_STRUCTURE[a, b]):
-                    self.pairs.append((a, b, _STRUCTURE[a, b]))
+                                  s=self.fft_shape, axes=self._axes(1))
+        self.k_hat_conj = np.conj(self.k_hat)
+        live = np.any(table, axis=tuple(range(table.ndim - 1)))
+        # (a, b) -> [(c, np.add or np.subtract)] for C[a, b, c] = +-1
+        self.pairs: dict = {}
+        for a, b, c in zip(*np.nonzero(_STRUCTURE)):
+            if live[a]:
+                op = np.add if _STRUCTURE[a, b, c] > 0 else np.subtract
+                self.pairs.setdefault((a, b), []).append((c, op))
 
-    def _embed(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.fft_shape + (7,))
-        n1, n2, n3, nt = self.data_shape
-        out[:n1, :n2, :n3, :nt, :] = values
-        return out
+    def _axes(self, lead: int) -> tuple:
+        """FFT axes of a component-first array with ``lead`` batch axes."""
+        return tuple(range(1 + lead, 1 + lead + len(self.fft_shape)))
 
-    def apply(self, values: np.ndarray, scale: float) -> np.ndarray:
-        axes = (1, 2, 3, 4)
-        u_hat = np.fft.rfftn(np.moveaxis(self._embed(values), -1, 0),
-                             s=self.fft_shape, axes=axes)
-        r_hat = np.zeros((7,) + u_hat.shape[1:], dtype=complex)
-        for a, b, cvec in self.pairs:
-            prod = self.k_hat[a] * u_hat[b]
-            for c in np.nonzero(cvec)[0]:
-                r_hat[c] += cvec[c] * prod
-        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=axes)
-        n1, n2, n3, nt = self.data_shape
-        out = np.moveaxis(r[:, :n1, :n2, :n3, :nt], 0, -1) * scale
-        active = np.nonzero(np.any(values != 0.0, axis=(0, 1, 2, 4)))[0]
-        first = active[0] if len(active) else nt
-        out[..., :min(first + 1, nt), :] = 0.0
-        return out
+    def _forward(self, values: np.ndarray, lead: int) -> np.ndarray:
+        """rfftn of origin-embedded data with ``lead`` leading batch axes."""
+        full = np.zeros(values.shape[:lead] + self.fft_shape + (7,))
+        full[(slice(None),) * lead
+             + tuple(slice(n) for n in self.data_shape)] = values
+        return np.fft.rfftn(np.moveaxis(full, -1, 0), s=self.fft_shape,
+                            axes=self._axes(lead))
 
-    def apply_transpose(self, values: np.ndarray, scale: float) -> np.ndarray:
-        axes = (1, 2, 3, 4)
-        w_hat = np.fft.rfftn(np.moveaxis(self._embed(values), -1, 0),
-                             s=self.fft_shape, axes=axes)
-        r_hat = np.zeros((7,) + w_hat.shape[1:], dtype=complex)
-        for a, b, cvec in self.pairs:
-            # transpose contracts the output slot: R_b += C[a,b,c] K_a w_c
-            for c in np.nonzero(cvec)[0]:
-                r_hat[b] += cvec[c] * np.conj(self.k_hat[a]) * w_hat[c]
-        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=axes)
-        n1, n2, n3, nt = self.data_shape
-        out = np.moveaxis(r[:, :n1, :n2, :n3, :nt], 0, -1) * scale
-        # anti-causal counterpart of the forward masking
-        active = np.nonzero(np.any(values != 0.0, axis=(0, 1, 2, 4)))[0]
-        if len(active):
-            out[..., active[-1]:, :] = 0.0
-        else:
-            out[:] = 0.0
-        return out
+    def _crop(self, r_hat: np.ndarray, lead: int) -> np.ndarray:
+        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=self._axes(lead))
+        crop = (slice(None),) * (lead + 1) + tuple(
+            slice(n) for n in self.data_shape)
+        return np.moveaxis(r[crop], 0, -1)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """data_shape + (7,) -> (L,) + data_shape + (7,)."""
+        u_hat = self._forward(values, 0)
+        r_hat = np.zeros(self.k_hat.shape, dtype=complex)
+        prod = np.empty(self.k_hat.shape[1:], dtype=complex)
+        for (a, b), outs in self.pairs.items():
+            np.multiply(self.k_hat[a], u_hat[b], out=prod)
+            for c, op in outs:
+                op(r_hat[c], prod, out=r_hat[c])
+        return self._crop(r_hat, 1)
+
+    def apply_transpose(self, values: np.ndarray) -> np.ndarray:
+        """(L,) + data_shape + (7,) -> data_shape + (7,), contracting L."""
+        w_hat = self._forward(values, 1)
+        r_hat = np.zeros((7,) + w_hat.shape[2:], dtype=complex)
+        prod = np.empty(w_hat.shape[2:], dtype=complex)
+        for (a, b), outs in self.pairs.items():
+            for c, op in outs:
+                np.einsum("l...,l...->...", self.k_hat_conj[a], w_hat[c],
+                          out=prod)
+                op(r_hat[b], prod, out=r_hat[b])
+        return self._crop(r_hat, 0)
 
 
-def _volume_engine(ctx: OperatorContext) -> _ConvEngine:
+def _volume_conv(ctx: OperatorContext) -> _Convolution:
     def build():
         g = ctx.domain.grid
         lay = _layouts(ctx)
-        nt_size, t_off = _time_offsets(g.nt)
+        _, t_off = _time_offsets(g.nt)
         xo = [lay[d][1] * g.h for d in range(3)]
         table = _eval_kernel_grid(ctx, xo, t_off * g.dt)
-        return _ConvEngine(table, g.shape)
-    return ctx._cached("volume_engine", build)
+        return _Convolution(table[None], g.shape)
+    return ctx._cached("volume_conv", build)
+
+
+def _active_slabs(values: np.ndarray) -> np.ndarray:
+    return np.nonzero(np.any(values != 0.0, axis=(0, 1, 2, 4)))[0]
 
 
 def teodorescu(u: Field, ctx: OperatorContext) -> Field:
-    """Volume potential: kernel-weighted sum over all earlier cells."""
+    """Volume potential: kernel-weighted sum over all earlier cells.
+
+    Strict causality is enforced structurally: output slabs at or before
+    the first active input slab are exact zeros, not transform roundoff.
+    """
     if u.grid != ctx.domain.grid:
         raise ValueError("field does not live on the context domain")
-    engine = _volume_engine(ctx)
-    return Field(engine.apply(u.values, ctx.domain.grid.cell_volume), u.grid)
+    g = ctx.domain.grid
+    out = _volume_conv(ctx).apply(u.values)[0] * g.cell_volume
+    active = _active_slabs(u.values)
+    first = active[0] if len(active) else g.nt
+    out[..., :min(first + 1, g.nt), :] = 0.0
+    return Field(out, u.grid)
 
 
 def teodorescu_adjoint(w: Field, ctx: OperatorContext) -> Field:
-    """Transpose of the volume potential in plain node coordinates."""
+    """Transpose of the volume potential in plain node coordinates.
+
+    Anti-causal counterpart of the forward masking: slabs at or after the
+    last active input slab are exact zeros.
+    """
     if w.grid != ctx.domain.grid:
         raise ValueError("field does not live on the context domain")
-    engine = _volume_engine(ctx)
-    return Field(engine.apply_transpose(w.values, ctx.domain.grid.cell_volume),
-                 w.grid)
+    g = ctx.domain.grid
+    out = _volume_conv(ctx).apply_transpose(w.values[None]) * g.cell_volume
+    active = _active_slabs(w.values)
+    if len(active):
+        out[..., active[-1]:, :] = 0.0
+    else:
+        out[:] = 0.0
+    return Field(out, w.grid)
 
 
 # ---------------------------------------------------------------------------
 # Boundary potential
 # ---------------------------------------------------------------------------
 
-def _face_groups(ctx: OperatorContext):
-    """Boundary elements grouped by family with index maps into arrays.
+@dataclass
+class _FaceGroup:
+    """Boundary elements of one face family and their convolution.
 
-    Lateral families are keyed (axis, side); the initial cap is its own
-    family.  The terminal cap never contributes to the boundary potential
-    (the kernel argument would need a negative time offset) and gets no
-    group.
+    ``axis`` is the field axis the convolution's leading index runs along:
+    the face axis for a lateral family, time (3) for the initial cap.
+    ``slot`` scatters the family's elements into a density shaped like the
+    convolution's data.
+    """
+
+    axis: int
+    idx: np.ndarray
+    slot: tuple
+    conv: _Convolution
+
+
+def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
+    """Boundary elements grouped by family, each with its convolution.
+
+    Lateral families are keyed (axis, side); the offset along the face axis
+    is a half-shifted ladder indexed by the output layer, while the across
+    axes and time convolve.  The initial cap indexes its table by the output
+    time slab and convolves in space.  The terminal cap never contributes to
+    the boundary potential (the kernel argument would need a negative time
+    offset) and gets no group.
     """
     def build():
         d = ctx.domain
         g = d.grid
+        lay = _layouts(ctx)
+        xo = [lay[a][1] * g.h for a in range(3)]
+        _, t_off = _time_offsets(g.nt)
         groups = []
         for axis in range(3):
             if g.periodic[axis]:
@@ -308,180 +334,25 @@ def _face_groups(ctx: OperatorContext):
                 idx = np.nonzero(mask)[0]
                 if not len(idx):
                     continue
+                n_axis = g.dims[axis]
+                shift = 0.5 if side == 0 else 0.5 - n_axis
+                xo_face = list(xo)
+                xo_face[axis] = (np.arange(n_axis) + shift) * g.h
+                table = _eval_kernel_grid(ctx, xo_face, t_off * g.dt)
                 shape = (g.dims[across[0]], g.dims[across[1]], g.nt)
+                # moving the face axis first keeps the across axes ascending
+                conv = _Convolution(np.moveaxis(table, axis, 0), shape)
                 slot = (d.b_near[idx][:, across[0]],
                         d.b_near[idx][:, across[1]],
                         d.b_near[idx][:, 3])
-                groups.append(("lateral", axis, side, idx, shape, slot))
-        mask = ctx.domain.b_kind == 1
-        idx = np.nonzero(mask)[0]
+                groups.append(_FaceGroup(axis, idx, slot, conv))
+        idx = np.nonzero(d.b_kind == 1)[0]
+        table = _eval_kernel_grid(ctx, xo, (np.arange(g.nt) + 0.5) * g.dt)
+        conv = _Convolution(np.moveaxis(table, 3, 0), g.dims)
         slot = (d.b_near[idx][:, 0], d.b_near[idx][:, 1], d.b_near[idx][:, 2])
-        groups.append(("cap0", 3, 0, idx, g.dims, slot))
+        groups.append(_FaceGroup(3, idx, slot, conv))
         return groups
     return ctx._cached("face_groups", build)
-
-
-class _LateralEngine:
-    """Boundary-to-volume convolution for one lateral face family.
-
-    The offset along the face axis is a half-shifted ladder indexed directly
-    by the output layer; across-face axes and time convolve by FFT.
-    """
-
-    def __init__(self, ctx: OperatorContext, axis: int, side: int):
-        g = ctx.domain.grid
-        self.axis = axis
-        self.across = [a for a in range(3) if a != axis]
-        lay = _layouts(ctx)
-        nt_size, t_off = _time_offsets(g.nt)
-        n_axis = g.dims[axis]
-        if side == 0:
-            axis_offs = (np.arange(n_axis) + 0.5) * g.h
-        else:
-            axis_offs = (np.arange(n_axis) + 0.5 - n_axis) * g.h
-        a0, a1 = self.across
-        xo = [None, None, None]
-        xo[axis] = axis_offs
-        xo[a0] = lay[a0][1] * g.h
-        xo[a1] = lay[a1][1] * g.h
-        table = _eval_kernel_grid(ctx, xo, t_off * g.dt)
-        # reorder to (axis_layer, across0, across1, time, 7); moving the
-        # face axis first keeps the across axes in ascending order
-        self.table = np.moveaxis(table, axis, 0)
-        self.fft_shape = self.table.shape[1:-1]
-        self.k_hat = np.fft.rfftn(np.moveaxis(self.table, -1, 0),
-                                  s=self.fft_shape, axes=(2, 3, 4))
-        self.pairs = []
-        for a in range(7):
-            if not np.any(table[..., a]):
-                continue
-            for b in range(7):
-                if np.any(_STRUCTURE[a, b]):
-                    self.pairs.append((a, b, _STRUCTURE[a, b]))
-        self.data_shape = (g.dims[a0], g.dims[a1], g.nt)
-
-    def _embed(self, density: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.fft_shape + (7,))
-        s0, s1, st = self.data_shape
-        out[:s0, :s1, :st, :] = density
-        return out
-
-    def apply(self, density: np.ndarray) -> np.ndarray:
-        """density (across0, across1, nt, 7) -> field contribution."""
-        u_hat = np.fft.rfftn(np.moveaxis(self._embed(density), -1, 0),
-                             s=self.fft_shape, axes=(1, 2, 3))
-        r_hat = np.zeros((7, self.table.shape[0]) + u_hat.shape[1:],
-                         dtype=complex)
-        for a, b, cvec in self.pairs:
-            prod = self.k_hat[a] * u_hat[b][None, ...]
-            for c in np.nonzero(cvec)[0]:
-                r_hat[c] += cvec[c] * prod
-        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=(2, 3, 4))
-        s0, s1, st = self.data_shape
-        out = np.moveaxis(r[:, :, :s0, :s1, :st], 0, -1)
-        # axes here: (axis_layer, across0, across1, time, comp); restore the
-        # face axis to its spatial slot
-        if self.axis == 0:
-            return out
-        if self.axis == 1:
-            return np.swapaxes(out, 0, 1)
-        return np.moveaxis(out, 0, 2)
-
-    def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        """field (nx,ny,nz,nt,7) -> density-shaped transpose application."""
-        if self.axis == 1:
-            w_al = np.swapaxes(w, 0, 1)
-        elif self.axis == 2:
-            w_al = np.moveaxis(w, 2, 0)
-        else:
-            w_al = w
-        s0, s1, st = self.data_shape
-        full = np.zeros((w_al.shape[0],) + self.fft_shape + (7,))
-        full[:, :s0, :s1, :st, :] = w_al
-        w_hat = np.fft.rfftn(np.moveaxis(full, -1, 0), s=self.fft_shape,
-                             axes=(2, 3, 4))
-        r_hat = np.zeros((7,) + w_hat.shape[2:], dtype=complex)
-        for a, b, cvec in self.pairs:
-            for c in np.nonzero(cvec)[0]:
-                r_hat[b] += cvec[c] * np.einsum(
-                    "l...,l...->...", np.conj(self.k_hat[a]), w_hat[c])
-        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=(1, 2, 3))
-        s0, s1, st = self.data_shape
-        return np.moveaxis(r[:, :s0, :s1, :st], 0, -1)
-
-
-class _CapEngine:
-    """Initial-cap to volume convolution (per-slab spatial FFT)."""
-
-    def __init__(self, ctx: OperatorContext):
-        g = ctx.domain.grid
-        lay = _layouts(ctx)
-        xo = [lay[d][1] * g.h for d in range(3)]
-        t_off = (np.arange(g.nt) + 0.5) * g.dt
-        self.table = _eval_kernel_grid(ctx, xo, t_off)
-        self.fft_shape = self.table.shape[:3]
-        self.k_hat = np.fft.rfftn(np.moveaxis(self.table, -1, 0),
-                                  s=self.fft_shape, axes=(1, 2, 3))
-        self.pairs = []
-        for a in range(7):
-            if not np.any(self.table[..., a]):
-                continue
-            for b in range(7):
-                if np.any(_STRUCTURE[a, b]):
-                    self.pairs.append((a, b, _STRUCTURE[a, b]))
-        self.dims = g.dims
-        self.nt = g.nt
-
-    def _embed(self, density: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.fft_shape + (7,))
-        n1, n2, n3 = self.dims
-        out[:n1, :n2, :n3, :] = density
-        return out
-
-    def apply(self, density: np.ndarray) -> np.ndarray:
-        """density (nx,ny,nz,7) -> field (nx,ny,nz,nt,7)."""
-        u_hat = np.fft.rfftn(np.moveaxis(self._embed(density), -1, 0),
-                             s=self.fft_shape, axes=(1, 2, 3))
-        # k_hat axes: (comp, f1, f2, f3, time); combine per time slice
-        r_hat = np.zeros((7,) + u_hat.shape[1:] + (self.nt,), dtype=complex)
-        kh = np.moveaxis(self.k_hat, 4, -1)  # (comp, f1, f2, f3, nt)
-        for a, b, cvec in self.pairs:
-            prod = kh[a] * u_hat[b][..., None]
-            for c in np.nonzero(cvec)[0]:
-                r_hat[c] += cvec[c] * prod
-        r = np.fft.irfftn(np.moveaxis(r_hat, -1, 1), s=self.fft_shape,
-                          axes=(2, 3, 4))
-        n1, n2, n3 = self.dims
-        return np.moveaxis(r[:, :, :n1, :n2, :n3], (0, 1), (-1, 3)) \
-            .reshape(n1, n2, n3, self.nt, 7)
-
-    def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        """field (nx,ny,nz,nt,7) -> cap density (nx,ny,nz,7)."""
-        n1, n2, n3 = self.dims
-        full = np.zeros(self.fft_shape + (self.nt, 7))
-        full[:n1, :n2, :n3] = w
-        w_hat = np.fft.rfftn(np.moveaxis(full, -1, 0), s=self.fft_shape,
-                             axes=(1, 2, 3))   # (comp, f1,f2,f3, nt)
-        r_hat = np.zeros((7,) + w_hat.shape[1:4], dtype=complex)
-        kh = np.moveaxis(self.k_hat, 4, -1)
-        for a, b, cvec in self.pairs:
-            for c in np.nonzero(cvec)[0]:
-                r_hat[b] += cvec[c] * np.sum(
-                    np.conj(kh[a]) * w_hat[c], axis=-1)
-        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=(1, 2, 3))
-        return np.moveaxis(r[:, :n1, :n2, :n3], 0, -1)
-
-
-def _boundary_engines(ctx: OperatorContext):
-    def build():
-        engines = {}
-        for kind, axis, side, idx, shape, slot in _face_groups(ctx):
-            if kind == "lateral":
-                engines[(axis, side)] = _LateralEngine(ctx, axis, side)
-            else:
-                engines["cap0"] = _CapEngine(ctx)
-        return engines
-    return ctx._cached("boundary_engines", build)
 
 
 def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
@@ -489,30 +360,25 @@ def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
     if bd.domain is not ctx.domain and bd.domain.grid != ctx.domain.grid:
         raise ValueError("boundary data does not match the context domain")
     d = ctx.domain
-    engines = _boundary_engines(ctx)
     sigma_bd = mul_arrays(d.b_conormal, bd.values) * d.b_weight[:, None]
     out = np.zeros(d.grid.shape + (7,))
-    for kind, axis, side, idx, shape, slot in _face_groups(ctx):
-        density = np.zeros(shape + (7,))
-        density[slot] = sigma_bd[idx]
-        if kind == "lateral":
-            out += engines[(axis, side)].apply(density)
-        else:
-            out += engines["cap0"].apply(density)
+    for group in _face_groups(ctx):
+        density = np.zeros(group.conv.data_shape + (7,))
+        density[group.slot] = sigma_bd[group.idx]
+        out += np.moveaxis(group.conv.apply(density), 0, group.axis)
     return Field(out, d.grid)
 
 
 def cauchy_adjoint(w: Field, ctx: OperatorContext) -> BoundaryData:
     """Transpose of the boundary potential in plain coordinates."""
     d = ctx.domain
-    engines = _boundary_engines(ctx)
+    if w.grid != d.grid:
+        raise ValueError("field does not live on the context domain")
     out = np.zeros((d.n_boundary, 7))
-    for kind, axis, side, idx, shape, slot in _face_groups(ctx):
-        if kind == "lateral":
-            density = engines[(axis, side)].apply_transpose(w.values)
-        else:
-            density = engines["cap0"].apply_transpose(w.values)
-        out[idx] = density[slot]
+    for group in _face_groups(ctx):
+        density = group.conv.apply_transpose(
+            np.moveaxis(w.values, group.axis, 0))
+        out[group.idx] = density[group.slot]
     sig_t = np.swapaxes(mul_matrix(d.b_conormal), -1, -2)
     out = np.einsum("bij,bj->bi", sig_t, out) * d.b_weight[:, None]
     return BoundaryData(out, d)

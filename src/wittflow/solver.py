@@ -5,8 +5,9 @@ The linear path solves the scalar pressure equation
 
     Re( Q T D p ) = Re( Q T f )
 
-matrix-free (restart-free Krylov, dense fallback at small sizes, zero-mean
-gauge) and then evaluates the velocity representation
+by a truncated SVD of the densely assembled system (zero-mean gauge, at
+most ``MAX_PRESSURE_CELLS`` unknowns) and then evaluates the velocity
+representation
 
     u = T Q T (f - D p)
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .domain import Field, diff_field, discrete_grad, discrete_norm
 from .potentials import (OperatorContext, bergman_complement,
@@ -39,7 +39,14 @@ __all__ = [
     "fixed_point_solve",
     "estimate_constants",
     "convergence_check",
+    "MAX_PRESSURE_CELLS",
 ]
+
+# Largest pressure system (one unknown per grid cell) the dense solve takes.
+MAX_PRESSURE_CELLS = 4000
+
+# Relative singular-value cutoff of the pressure pseudo-inverse.
+_PRESSURE_RCOND = 1e-10
 
 
 class SolverDivergence(RuntimeError):
@@ -54,7 +61,8 @@ class SolverDivergence(RuntimeError):
 class NavierStokesProblem:
     """Incompressible flow problem with unit viscosity.
 
-    The body force must be a pure e-vector field.
+    The body force must be a pure e-vector field, and the grid may hold
+    at most ``MAX_PRESSURE_CELLS`` cells.
     """
 
     ctx: OperatorContext
@@ -66,6 +74,11 @@ class NavierStokesProblem:
         witt = self.forcing.values[..., [0, 4, 5, 6]]
         if np.any(witt != 0.0):
             raise ValueError("forcing must be a pure e-vector field")
+        n_cells = self.ctx.domain.grid.n_cells
+        if n_cells > MAX_PRESSURE_CELLS:
+            raise ValueError(
+                f"grid has {n_cells} cells; the dense pressure solve takes "
+                f"at most {MAX_PRESSURE_CELLS}")
 
 
 @dataclass
@@ -121,22 +134,15 @@ class _PressureSystem:
     """Scalar system Re(Q T D p) = rhs with zero-mean gauge.
 
     The composite is a product of smoothing operators, so its discrete
-    spectrum is steeply graded.  Below ``dense_threshold`` unknowns the
-    system is assembled densely once (cached on the instance) and solved by
-    truncated least squares, which also fixes the additive gauge mode;
-    above the threshold a restart-free Krylov solve runs matrix-free.
+    spectrum is steeply graded.  The system is assembled densely once
+    (cached on the instance) and solved by truncated least squares, which
+    also fixes the additive gauge mode.
     """
 
-    def __init__(self, ctx: OperatorContext, rtol: float = 1e-8,
-                 maxiter: int = 500, dense_threshold: int = 4000,
-                 lstsq_rcond: float = 1e-10):
+    def __init__(self, ctx: OperatorContext):
         self.ctx = ctx
         self.grid = ctx.domain.grid
         self.n = self.grid.n_cells
-        self.rtol = rtol
-        self.maxiter = maxiter
-        self.dense_threshold = dense_threshold
-        self.lstsq_rcond = lstsq_rcond
         self._svd = None
 
     def _apply_flat(self, p_flat: np.ndarray) -> np.ndarray:
@@ -150,7 +156,7 @@ class _PressureSystem:
         w = bergman_complement(teodorescu(g_field, self.ctx), self.ctx)
         return _zero_mean(w.scalar()).reshape(-1)
 
-    def _dense_solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         if self._svd is None:
             a = np.zeros((self.n, self.n))
             probe = np.zeros(self.n)
@@ -159,23 +165,10 @@ class _PressureSystem:
                 probe[j] = 1.0
                 a[:, j] = self._apply_flat(probe)
             u_svd, s_svd, vt_svd = np.linalg.svd(a, full_matrices=False)
-            keep = s_svd > self.lstsq_rcond * s_svd[0]
+            keep = s_svd > _PRESSURE_RCOND * s_svd[0]
             self._svd = (u_svd[:, keep], s_svd[keep], vt_svd[keep])
         u_svd, s_svd, vt_svd = self._svd
-        return vt_svd.T @ ((u_svd.T @ b) / s_svd)
-
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None):
-        if self.n <= self.dense_threshold:
-            return _zero_mean(self._dense_solve(b))
-        op = LinearOperator((self.n, self.n), matvec=self._apply_flat)
-        sol, info = lgmres(op, b, x0=x0, rtol=self.rtol, atol=0.0,
-                           maxiter=self.maxiter)
-        if info != 0:
-            raise RuntimeError(
-                f"pressure solve did not converge in {self.maxiter} "
-                "iterations and the system is too large for the dense "
-                "fallback")
-        return _zero_mean(sol)
+        return _zero_mean(vt_svd.T @ ((u_svd.T @ b) / s_svd))
 
 
 def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
@@ -190,15 +183,14 @@ def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
     return Field.from_vector(w.vector(), w.grid)
 
 
-def solve_linear(prob: NavierStokesProblem,
-                 system: _PressureSystem | None = None):
+def solve_linear(prob: NavierStokesProblem):
     """Pressure from the scalar system, velocity from the representation.
 
     Returns (velocity field, scalar pressure field, report).
     """
     ctx = prob.ctx
     grid = ctx.domain.grid
-    system = system or _PressureSystem(ctx)
+    system = _PressureSystem(ctx)
     b = system.right_side(prob.forcing)
     p_flat = system.solve(b)
     gauge = float(p_flat.mean())
@@ -244,7 +236,6 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
     system = _PressureSystem(ctx)
     history: list[float] = []
     p = Field.zeros(grid)
-    p_flat = None
     converged = False
     growths = 0
     iterations = 0
@@ -252,8 +243,7 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
         iterations += 1
         rhs = prob.forcing - convective_term(u)
         b = system.right_side(rhs)
-        p_flat = system.solve(b, x0=p_flat)
-        p = Field.from_scalar(p_flat.reshape(grid.shape), grid)
+        p = Field.from_scalar(system.solve(b).reshape(grid.shape), grid)
         u_next = _velocity_from(ctx, rhs - discrete_grad(p))
         step = discrete_norm(u_next - u, "W11")
         if history and step > history[-1]:

@@ -364,17 +364,15 @@ def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
                 "reproducer_order": rep_order})
 
 
-def volume_reproduction_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
-                              k=1.0, lattice: LatticeSpec | None = None,
-                              preset=scalar_bump_field) -> StudyResult:
+def volume_reproduction_study(base: StudyResult) -> StudyResult:
     """Reconstruction residual against the reproducing idempotent.
 
     This is the identity the degenerate seven-dimensional closure actually
     satisfies: the reconstruction converges to ``(fd f) u`` rather than
     ``u`` (the two agree on fields annihilated by left multiplication with
-    ``ffd``).
+    ``ffd``).  Reads the companion residuals that ``borel_pompeiu_study``
+    records in the extras of ``base``.
     """
-    base = borel_pompeiu_study(levels, horizon, k, lattice, preset)
     rows = base.extras["reproducer_levels"]
     order = base.extras["reproducer_order"]
     name = base.name.replace("borel_pompeiu", "volume_reproduction")

@@ -103,6 +103,32 @@ class TestCommands:
         shells = int(out.rsplit("shells_used=", 1)[1].strip())
         assert shells >= 1
 
+    def test_kernel_fixed_shells(self, capsys):
+        import itertools
+        from wittflow.kernels import KernelParams, fundamental_solution_array
+        from wittflow.lattice import tail_bound
+        x = np.array([0.3, 0.2, 0.1])
+        rc = cli.main(["kernel", "--point", "0.3,0.2,0.1", "--time", "0.5",
+                       "--k", "1.0", "--lattice", "3,true,false,false",
+                       "--shells", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        omegas = np.array(list(itertools.product(range(-2, 3), repeat=3)))
+        signs = np.where(omegas[:, 0] % 2 == 0, 1.0, -1.0)
+        want = signs @ fundamental_solution_array(
+            x + omegas, np.full(len(omegas), 0.5), 1.0)
+        got = np.array([float(v) for v in out[1].split(",")])
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
+        tail = tail_bound(3, float(np.linalg.norm(x)), 0.5, KernelParams(1.0))
+        assert out[2] == f"tail_estimate={tail:.6g} shells_used=3"
+        # no bound once the shells stop short of the point, or for t <= 0
+        for point, time in (("1.5,0.2,0.1", "0.5"), ("0.3,0.2,0.1", "0")):
+            cli.main(["kernel", "--point", point, "--time", time, "--k",
+                      "1.0", "--lattice", "3,true,false,false",
+                      "--shells", "0"])
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last == "tail_estimate=inf shells_used=1"
+
     def test_kernel_lattice_matches_plain_at_rank0(self, capsys):
         cli.main(["kernel", "--point", "0.2,0.1,0.4", "--time", "0.4",
                   "--k", "2.0"])

@@ -25,6 +25,40 @@ def torus_ctx(n=4, nt=8, horizon=0.5, k=1.0, flags=(False, False, False)):
     return OperatorContext(d, KernelParams(k), spec)
 
 
+def cylinder_ctx(n=3, nt=3, horizon=0.5, k=1.0, flags=(False,)):
+    spec = LatticeSpec(len(flags), flags)
+    free = [1.0] * (3 - spec.rank)
+    d = build_quotient_domain(spec, free, horizon, 1.0 / n, horizon / nt)
+    return OperatorContext(d, KernelParams(k), spec)
+
+
+def periodized_eval(ctx):
+    def kernel_eval(dz, s):
+        vals, _, _ = periodized_solution_batch(dz.reshape(-1, 3), s,
+                                               ctx.params, ctx.lattice,
+                                               ctx.quad_tol)
+        return vals.reshape(dz.shape[:-1] + (7,))
+    return kernel_eval
+
+
+def brute_boundary(bd, ctx, kernel_eval):
+    """Element-by-element reference for the boundary potential."""
+    d = ctx.domain
+    g = d.grid
+    xs, ts = g.node_positions()
+    pts = xs.reshape(-1, 3)
+    sig = mul_arrays(d.b_conormal, bd.values) * d.b_weight[:, None]
+    out = np.zeros((len(pts), g.nt, 7))
+    for j, tau in enumerate(ts):
+        s = tau - d.b_time
+        for s_val in np.unique(s[s > 0.0]):
+            sel = np.nonzero(s == s_val)[0]
+            dz = pts[:, None, :] - d.b_position[None, sel, :]
+            kv = kernel_eval(dz, float(s_val))
+            out[:, j, :] += mul_arrays(kv, sig[None, sel, :]).sum(axis=1)
+    return out.reshape(g.shape + (7,))
+
+
 def brute_volume(u, ctx, kernel_eval):
     """Triple-loop reference for the volume potential."""
     g = ctx.domain.grid
@@ -167,6 +201,42 @@ class TestBoundaryPotential:
         assert np.allclose(fast.values.reshape(ref.shape), ref,
                            rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: cylinder_ctx(flags=(False,)),
+        lambda: cylinder_ctx(flags=(True,)),
+        lambda: torus_ctx(n=3, nt=3, flags=(True, False, True)),
+    ], ids=["cylinder_p", "cylinder_a", "torus_apa"])
+    def test_matches_direct_summation_periodized(self, make_ctx):
+        # lateral faces wrap along the cylinder axis, the cap wraps on
+        # every periodized axis (doubled with a sign twist when flagged)
+        ctx = make_ctx()
+        d = ctx.domain
+        rng = np.random.default_rng(14)
+        bd = BoundaryData(rng.standard_normal((d.n_boundary, 7)), d)
+        fast = cauchy_transform(bd, ctx)
+        ref = brute_boundary(bd, ctx, periodized_eval(ctx))
+        assert np.allclose(fast.values, ref, rtol=1e-10, atol=1e-11)
+
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: cylinder_ctx(flags=(True,)),
+        lambda: torus_ctx(n=3, nt=3, flags=(True, False, True)),
+    ], ids=["cylinder_a", "torus_apa"])
+    def test_adjoint_identity_periodized(self, make_ctx):
+        ctx = make_ctx()
+        d = ctx.domain
+        rng = np.random.default_rng(15)
+        bd = BoundaryData(rng.standard_normal((d.n_boundary, 7)), d)
+        w = Field(rng.standard_normal(d.grid.shape + (7,)), d.grid)
+        lhs = float(np.sum(cauchy_transform(bd, ctx).values * w.values))
+        rhs = float(np.sum(bd.values * cauchy_adjoint(w, ctx).values))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_adjoint_rejects_foreign_field(self):
+        ctx = box_ctx(n=3)
+        other = box_ctx(n=4).domain.grid
+        with pytest.raises(ValueError, match="context domain"):
+            cauchy_adjoint(Field.zeros(other), ctx)
+
     def test_zero_density(self):
         ctx = box_ctx()
         out = cauchy_transform(BoundaryData.zeros(ctx.domain), ctx)
@@ -273,18 +343,17 @@ class TestBergman:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_factorization_is_cached(self):
-        from wittflow import potentials
+        # the context owns its factorization; later projections reuse it
+        from wittflow.potentials import _bergman_factorization
         ctx = torus_ctx()
         rng = np.random.default_rng(12)
         u = Field(rng.standard_normal(ctx.domain.grid.shape + (7,)),
                   ctx.domain.grid)
         bergman_projection(u, ctx)
-        key = ctx._key("bergman_factorization")
-        assert key in potentials._FACTOR_CACHE
-        # a second context on the same geometry reuses the factorization
-        ctx2 = torus_ctx()
-        bergman_projection(u, ctx2)
-        assert ctx2._key("bergman_factorization") == key
+        fac = _bergman_factorization(ctx)
+        bergman_projection_adjoint(u, ctx)
+        bergman_projection(u, ctx)
+        assert _bergman_factorization(ctx) is fac
 
 
 class TestContextValidation:
@@ -293,6 +362,13 @@ class TestContextValidation:
         with pytest.raises(ValueError, match="periodicity"):
             OperatorContext(d, KernelParams(1.0),
                             LatticeSpec(3, (False,) * 3))
+
+    def test_frozen(self):
+        # cached tables are built from these fields and must not go stale
+        import dataclasses
+        ctx = box_ctx()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.quad_tol = 1e-6
 
     def test_bad_tolerances(self):
         d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)

@@ -174,6 +174,13 @@ class TestLinearSolve:
         du = discrete_grad(p) - discrete_grad(shifted)
         assert np.allclose(du.values, 0.0, atol=1e-12)
 
+    def test_refuses_grid_above_dense_limit(self):
+        # 8^3 x 8 = 4096 cells: refused before any kernel table is built
+        ctx = torus_ctx(n=8, nt=8)
+        with pytest.raises(ValueError, match="4000"):
+            NavierStokesProblem(ctx, Field.zeros(ctx.domain.grid))
+        assert not ctx._cache
+
     def test_forcing_must_be_vector(self, small_ctx):
         bad = Field.zeros(small_ctx.domain.grid)
         bad.values[..., 4] = 1.0

@@ -75,6 +75,9 @@ class TestStudies:
         # against the reproducing idempotent the residual refines
         rep = study.extras["reproducer_levels"]
         assert rep[-1][2] < rep[0][2]
+        reproduction = verify.volume_reproduction_study(study)
+        assert reproduction.levels == rep
+        assert reproduction.extras["identity_levels"] == study.levels
 
     def test_study_serialization_stable(self):
         a = verify.borel_pompeiu_study(levels=((3, 6), (4, 10), (5, 14)))
