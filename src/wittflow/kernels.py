@@ -136,13 +136,15 @@ def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape[:-1], t.shape)
-    out = np.zeros(shape + (7,))
     tb = np.broadcast_to(t, shape)
+    xb = np.broadcast_to(x, shape + (3,))
     live = tb > 0.0
-    if not np.any(live):
-        return out
-    xl = np.broadcast_to(x, shape + (3,))[live]
-    tl = tb[live]
+    # gather and scatter only when some point is causally dead; the live
+    # points go through the same ufuncs either way
+    masked = not np.all(live)
+    if masked and not np.any(live):
+        return np.zeros(shape + (7,))
+    xl, tl = (xb[live], tb[live]) if masked else (xb, tb)
     r2 = np.sum(xl * xl, axis=-1)
     expo = -k * r2 / (4.0 * tl)
     gauss = np.where(expo >= UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
@@ -154,6 +156,9 @@ def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
     coeffs[..., 1:4] = -pref[..., None] * (k / (2.0 * tl))[..., None] * xl
     coeffs[..., 4] = pref * bracket
     coeffs[..., 5] = k * pref
+    if not masked:
+        return coeffs
+    out = np.zeros(shape + (7,))
     out[live] = coeffs
     return out
 

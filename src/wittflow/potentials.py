@@ -181,6 +181,13 @@ class _Convolution:
     the single-counted twisted sum).  The product is contracted over the
     nonzero structure constants; all of them are +-1, so each term adds or
     subtracts one pointwise product of spectra.
+
+    ``apply`` skips what is exactly zero: it transforms only the input
+    components that hold a nonzero value, runs only the pairs whose input
+    component is live, and inverse-transforms only the output components
+    some pair reached (the rest are exact zeros).  The skipped terms would
+    add exact zeros, and every kept operation runs on the same operands in
+    the same order, so the result is bitwise that of the dense contraction.
     """
 
     def __init__(self, table: np.ndarray, data_shape):
@@ -202,8 +209,13 @@ class _Convolution:
         return tuple(range(1 + lead, 1 + lead + len(self.fft_shape)))
 
     def _forward(self, values: np.ndarray, lead: int) -> np.ndarray:
-        """rfftn of origin-embedded data with ``lead`` leading batch axes."""
-        full = np.zeros(values.shape[:lead] + self.fft_shape + (7,))
+        """rfftn of origin-embedded data with ``lead`` leading batch axes.
+
+        The last axis of ``values`` holds components; the result has them
+        first.
+        """
+        full = np.zeros(values.shape[:lead] + self.fft_shape
+                        + values.shape[-1:])
         full[(slice(None),) * lead
              + tuple(slice(n) for n in self.data_shape)] = values
         return np.fft.rfftn(np.moveaxis(full, -1, 0), s=self.fft_shape,
@@ -217,14 +229,26 @@ class _Convolution:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """data_shape + (7,) -> (L,) + data_shape + (7,)."""
-        u_hat = self._forward(values, 0)
-        r_hat = np.zeros(self.k_hat.shape, dtype=complex)
+        live = np.any(values, axis=tuple(range(values.ndim - 1)))
+        pairs = [(a, b, outs) for (a, b), outs in self.pairs.items()
+                 if live[b]]
+        reached = sorted({c for _, _, outs in pairs for c, _ in outs})
+        out = np.zeros(self.k_hat.shape[1:2] + self.data_shape + (7,))
+        if not reached:
+            return out
+        inputs = sorted({b for _, b, _ in pairs})
+        u_hat = dict(zip(inputs, self._forward(values[..., inputs], 0)))
+        row = {c: i for i, c in enumerate(reached)}
+        r_hat = np.zeros((len(reached),) + self.k_hat.shape[1:],
+                         dtype=complex)
         prod = np.empty(self.k_hat.shape[1:], dtype=complex)
-        for (a, b), outs in self.pairs.items():
+        for a, b, outs in pairs:
             np.multiply(self.k_hat[a], u_hat[b], out=prod)
             for c, op in outs:
-                op(r_hat[c], prod, out=r_hat[c])
-        return self._crop(r_hat, 1)
+                r = r_hat[row[c]]
+                op(r, prod, out=r)
+        out[..., reached] = self._crop(r_hat, 1)
+        return out
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         """(L,) + data_shape + (7,) -> data_shape + (7,), contracting L."""
@@ -355,16 +379,28 @@ def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
     return ctx._cached("face_groups", build)
 
 
-def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
-    """Boundary potential: kernel times (conormal times density), weighted."""
+def _check_boundary_data(bd: BoundaryData, ctx: OperatorContext):
     if bd.domain is not ctx.domain and bd.domain.grid != ctx.domain.grid:
         raise ValueError("boundary data does not match the context domain")
+
+
+def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
+    """Boundary potential: kernel times (conormal times density), weighted.
+
+    A face family whose weighted density is exactly zero is skipped: its
+    convolution would add exact zeros.  A Bergman column lives on a single
+    family, so this saves all but one of the family convolutions there.
+    """
+    _check_boundary_data(bd, ctx)
     d = ctx.domain
     sigma_bd = mul_arrays(d.b_conormal, bd.values) * d.b_weight[:, None]
     out = np.zeros(d.grid.shape + (7,))
     for group in _face_groups(ctx):
+        sigma = sigma_bd[group.idx]
+        if not np.any(sigma):
+            continue
         density = np.zeros(group.conv.data_shape + (7,))
-        density[group.slot] = sigma_bd[group.idx]
+        density[group.slot] = sigma
         out += np.moveaxis(group.conv.apply(density), 0, group.axis)
     return Field(out, d.grid)
 
@@ -395,6 +431,7 @@ def boundary_trace(u: Field, ctx: OperatorContext) -> BoundaryData:
 
 
 def trace_adjoint(bd: BoundaryData, ctx: OperatorContext) -> Field:
+    _check_boundary_data(bd, ctx)
     d = ctx.domain
     out = np.zeros(d.grid.shape + (7,))
     np.add.at(out, tuple(d.b_near.T), 1.5 * bd.values)

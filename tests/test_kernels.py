@@ -95,6 +95,21 @@ class TestClosedForm:
                                    KernelParams(1.0))
         assert np.all(val == 0.0)
 
+    def test_mixed_sign_times(self):
+        # the masked path (some t <= 0) must give the live points exactly
+        # what the unmasked path gives, and exact zeros elsewhere
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((40, 5, 3))
+        t = rng.uniform(-0.5, 0.5, (40, 5))
+        t[0, 0] = 0.0
+        live = t > 0.0
+        assert np.any(live) and not np.all(live)
+        mixed = fundamental_solution_array(x, t, 1.3, dual=True)
+        positive = fundamental_solution_array(x[live], t[live], 1.3,
+                                              dual=True)
+        assert np.array_equal(mixed[live], positive)
+        assert np.all(mixed[~live] == 0.0)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             KernelParams(0.0)

@@ -59,6 +59,36 @@ def brute_boundary(bd, ctx, kernel_eval):
     return out.reshape(g.shape + (7,))
 
 
+SPARSE_DENSITIES = ["lateral", "cap", "column"]
+
+
+def make_density(ctx, shape, rng):
+    """Boundary density of a given support shape.
+
+    ``lateral`` lives on one lateral face family, ``cap`` on the initial
+    cap, ``column`` is one active element in one component (a Bergman
+    column).  The sparse shapes reach the convolutions' skips of empty face
+    families and of zero components.
+    """
+    d = ctx.domain
+    vals = np.zeros((d.n_boundary, 7))
+    if shape == "dense":
+        vals[:] = rng.standard_normal(vals.shape)
+    elif shape == "lateral":
+        lateral = d.b_kind == 0
+        sel = (lateral & (d.b_axis == d.b_axis[lateral][0])
+               & (d.b_side == 1))
+        vals[sel] = rng.standard_normal((np.sum(sel), 7))
+    elif shape == "cap":
+        sel = d.b_kind == 1
+        vals[sel] = rng.standard_normal((np.sum(sel), 7))
+    else:
+        from wittflow.potentials import _active_mask
+        active = np.flatnonzero(_active_mask(ctx))
+        vals.reshape(-1)[rng.choice(active)] = 1.0
+    return BoundaryData(vals, d)
+
+
 def brute_volume(u, ctx, kernel_eval):
     """Triple-loop reference for the volume potential."""
     g = ctx.domain.grid
@@ -180,13 +210,20 @@ class TestVolumePotential:
         assert np.allclose(out.values[2, 0, 1, 2], want, rtol=1e-12)
 
 
+PERIODIZED = {
+    "cylinder_p": lambda: cylinder_ctx(flags=(False,)),
+    "cylinder_a": lambda: cylinder_ctx(flags=(True,)),
+    "torus_apa": lambda: torus_ctx(n=3, nt=3, flags=(True, False, True)),
+}
+
+
 class TestBoundaryPotential:
-    def test_matches_direct_summation(self):
-        ctx = box_ctx()
+    @staticmethod
+    def check_direct_summation(ctx, density, seed):
         d = ctx.domain
-        rng = np.random.default_rng(6)
-        bd = BoundaryData(rng.standard_normal((d.n_boundary, 7)), d)
+        bd = make_density(ctx, density, np.random.default_rng(seed))
         fast = cauchy_transform(bd, ctx)
+        assert np.any(fast.values != 0.0)
         g = d.grid
         xs, ts = g.node_positions()
         pts = xs.reshape(-1, 3)
@@ -201,21 +238,34 @@ class TestBoundaryPotential:
         assert np.allclose(fast.values.reshape(ref.shape), ref,
                            rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize("make_ctx", [
-        lambda: cylinder_ctx(flags=(False,)),
-        lambda: cylinder_ctx(flags=(True,)),
-        lambda: torus_ctx(n=3, nt=3, flags=(True, False, True)),
-    ], ids=["cylinder_p", "cylinder_a", "torus_apa"])
-    def test_matches_direct_summation_periodized(self, make_ctx):
+    @staticmethod
+    def check_direct_summation_periodized(ctx, density, seed):
         # lateral faces wrap along the cylinder axis, the cap wraps on
         # every periodized axis (doubled with a sign twist when flagged)
-        ctx = make_ctx()
-        d = ctx.domain
-        rng = np.random.default_rng(14)
-        bd = BoundaryData(rng.standard_normal((d.n_boundary, 7)), d)
+        bd = make_density(ctx, density, np.random.default_rng(seed))
         fast = cauchy_transform(bd, ctx)
+        assert np.any(fast.values != 0.0)
         ref = brute_boundary(bd, ctx, periodized_eval(ctx))
         assert np.allclose(fast.values, ref, rtol=1e-10, atol=1e-11)
+
+    def test_matches_direct_summation(self):
+        self.check_direct_summation(box_ctx(), "dense", 6)
+
+    @pytest.mark.parametrize("density", SPARSE_DENSITIES)
+    def test_matches_direct_summation_sparse(self, density):
+        self.check_direct_summation(box_ctx(), density, 16)
+
+    @pytest.mark.parametrize("make_ctx", PERIODIZED.values(),
+                             ids=PERIODIZED.keys())
+    def test_matches_direct_summation_periodized(self, make_ctx):
+        self.check_direct_summation_periodized(make_ctx(), "dense", 14)
+
+    @pytest.mark.parametrize("name,density", [
+        (name, density) for name in PERIODIZED for density in SPARSE_DENSITIES
+        if name != "torus_apa" or density != "lateral"  # no lateral faces
+    ])
+    def test_matches_direct_summation_periodized_sparse(self, name, density):
+        self.check_direct_summation_periodized(PERIODIZED[name](), density, 17)
 
     @pytest.mark.parametrize("make_ctx", [
         lambda: cylinder_ctx(flags=(True,)),
@@ -236,6 +286,12 @@ class TestBoundaryPotential:
         other = box_ctx(n=4).domain.grid
         with pytest.raises(ValueError, match="context domain"):
             cauchy_adjoint(Field.zeros(other), ctx)
+
+    def test_trace_adjoint_rejects_foreign_data(self):
+        ctx = box_ctx(n=3)
+        other = box_ctx(n=4).domain
+        with pytest.raises(ValueError, match="context domain"):
+            trace_adjoint(BoundaryData.zeros(other), ctx)
 
     def test_zero_density(self):
         ctx = box_ctx()
