@@ -125,35 +125,60 @@ def _fd_power(explicit: int | None) -> int:
     return 1
 
 
+def _time_factors(t: np.ndarray, k: float):
+    """Factors of the kernel that depend on the time alone.
+
+    ``t`` must be an array of at least one dimension: numpy evaluates
+    ``** 3`` on a scalar or 0-d array with a scalar ``pow`` that can differ
+    in the last bit from the array loop, and the tables must not depend on
+    whether a time came as a scalar or per point.
+    """
+    four_t = 4.0 * t
+    cube = (2.0 * np.sqrt(np.pi * t)) ** 3
+    return four_t, cube, k / (2.0 * t), four_t * t, 3.0 / (2.0 * t)
+
+
 def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
                                dual: bool = False) -> np.ndarray:
     """Kernel coefficients for arrays of points.
 
     ``x`` has shape (..., 3), ``t`` broadcasts against its leading axes; the
     result has shape (..., 7).  Points with ``t <= 0`` evaluate to exact
-    zero (causality); Gaussian underflow is flushed to exact zero.
+    zero (causality); Gaussian underflow is flushed to exact zero.  The
+    time-only factors are computed on ``t``'s own shape, so a scalar ``t``
+    costs one evaluation of them, bitwise equal to a per-point ``t``.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape[:-1], t.shape)
-    tb = np.broadcast_to(t, shape)
-    xb = np.broadcast_to(x, shape + (3,))
-    live = tb > 0.0
+    live = t > 0.0
     # gather and scatter only when some point is causally dead; the live
     # points go through the same ufuncs either way
     masked = not np.all(live)
-    if masked and not np.any(live):
+    if not masked:
+        xl = x
+        factors = [f.reshape(t.shape)
+                   for f in _time_factors(np.atleast_1d(t), k)]
+    elif not np.any(live):
         return np.zeros(shape + (7,))
-    xl, tl = (xb[live], tb[live]) if masked else (xb, tb)
-    r2 = np.sum(xl * xl, axis=-1)
-    expo = -k * r2 / (4.0 * tl)
+    else:
+        live = np.broadcast_to(live, shape)
+        xl = np.broadcast_to(x, shape + (3,))[live]
+        factors = _time_factors(np.broadcast_to(t, shape)[live], k)
+    four_t, cube, k_half_t, four_t2, three_half_t = factors
+    x0, x1, x2 = xl[..., 0], xl[..., 1], xl[..., 2]
+    r2 = (x0 * x0 + x1 * x1) + x2 * x2
+    expo = -k * r2 / four_t
     gauss = np.where(expo >= UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
-    pref = np.sqrt(k) * gauss / (2.0 * np.sqrt(np.pi * tl)) ** 3
-    bracket = k * r2 / (4.0 * tl * tl) - 3.0 / (2.0 * tl)
+    pref = np.sqrt(k) * gauss / cube
+    bracket = k * r2 / four_t2 - three_half_t
     if dual:
         bracket = -bracket
-    coeffs = np.zeros(xl.shape[:-1] + (7,))
-    coeffs[..., 1:4] = -pref[..., None] * (k / (2.0 * tl))[..., None] * xl
+    coeffs = np.zeros(pref.shape + (7,))
+    # one component at a time: an inner loop of length 3 is slow in numpy
+    gradient = -pref * k_half_t
+    for c in range(3):
+        coeffs[..., 1 + c] = gradient * xl[..., c]
     coeffs[..., 4] = pref * bracket
     coeffs[..., 5] = k * pref
     if not masked:

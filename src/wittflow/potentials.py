@@ -151,8 +151,7 @@ def _eval_kernel_grid(ctx: OperatorContext, xo: list[np.ndarray],
         if s <= 0.0:
             continue
         if ctx.lattice.rank == 0:
-            out[:, j, :] = fundamental_solution_array(
-                flat, np.full(len(flat), s), ctx.params.k)
+            out[:, j, :] = fundamental_solution_array(flat, s, ctx.params.k)
         else:
             vals, _, _ = periodized_solution_batch(
                 flat, float(s), ctx.params, ctx.lattice, ctx.quad_tol)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,6 +143,34 @@ class TestCommands:
                   "--k", "2.0", "--lattice", "0"])
         again = capsys.readouterr().out.splitlines()[1]
         assert plain == again
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the thread count from /proc")
+    def test_threads_flag_pins_blas(self):
+        # numpy reads the BLAS thread variables once, when it is imported,
+        # so --threads works only if importing the CLI loads no numpy
+        script = textwrap.dedent("""
+            import sys
+            import wittflow.cli as cli
+            assert "numpy" not in sys.modules, "importing the CLI loads numpy"
+            assert cli.main(["--threads", "1", "kernel", "--point",
+                             "0.3,0.2,0.1", "--time", "0.5", "--k", "1"]) == 0
+            import numpy as np
+            np.ones((300, 300)) @ np.ones((300, 300))
+            with open("/proc/self/status") as status:
+                print(next(line.split()[1] for line in status
+                           if line.startswith("Threads:")))
+            """)
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS")}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"   # threads in the process
 
     def test_kernel_bad_point_exit_2(self, capsys):
         assert cli.main(["kernel", "--point", "0.3,0.2", "--time", "0.5",

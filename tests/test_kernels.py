@@ -110,6 +110,27 @@ class TestClosedForm:
         assert np.array_equal(mixed[live], positive)
         assert np.all(mixed[~live] == 0.0)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_scalar_time_matches_per_point_time(self, dual):
+        # the time-only factors are computed once for a scalar time; they
+        # must give every point the bits of the per-point path, at the
+        # kernel-table times j*dt and (j + 1/2)*dt and at random times
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2.0, 2.0, (50, 3))
+        dt = 0.0625
+        times = np.concatenate([np.arange(1, 17) * dt,
+                                (np.arange(16) + 0.5) * dt,
+                                rng.uniform(1e-3, 3.0, 300)])
+        for k in (1.0, 1.7):
+            for t in times:
+                full = fundamental_solution_array(x, np.full(len(x), t), k,
+                                                  dual=dual)
+                assert np.array_equal(
+                    fundamental_solution_array(x, t, k, dual=dual), full)
+                assert np.array_equal(
+                    fundamental_solution_array(x[7], t, k, dual=dual),
+                    full[7])
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             KernelParams(0.0)

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from wittflow.kernels import KernelParams, SpaceTimePoint, fundamental_solution
+from wittflow import lattice
+from wittflow.kernels import (KernelParams, SpaceTimePoint,
+                              fundamental_solution, fundamental_solution_array)
 from wittflow.lattice import (LatticeSpec, brute_force_periodized,
                               periodized_fundamental_solution,
                               periodized_solution_batch, shell_points,
@@ -11,6 +13,14 @@ from wittflow.lattice import (LatticeSpec, brute_force_periodized,
 
 
 RANK3 = LatticeSpec(3, (False, False, False))
+
+
+def lexicographic_shell(m, rank):
+    """Shell of max-norm radius m by full enumeration, in product order."""
+    pts = [combo + (0,) * (3 - rank)
+           for combo in itertools.product(range(-m, m + 1), repeat=rank)
+           if max(abs(c) for c in combo) == m]
+    return np.array(pts, dtype=np.int64).reshape(-1, 3)
 
 
 class TestSpec:
@@ -44,18 +54,14 @@ class TestShells:
         assert sorted(map(tuple, shell.points)) == [(-1, 0, 0), (1, 0, 0)]
 
     def test_low_rank_exhaustive(self):
-        # full enumeration oracle, independent of the shell generator
-        for rank in (1, 2):
+        # full enumeration oracle, independent of the shell generator; the
+        # order is the summation order, and so decides the bits of the sums
+        for rank in (1, 2, 3):
             spec = LatticeSpec(rank, (False,) * rank)
             for m in range(11):
-                expected = set()
-                for combo in itertools.product(range(-m, m + 1), repeat=rank):
-                    if combo and max(abs(c) for c in combo) == m:
-                        expected.add(combo + (0,) * (3 - rank))
-                if m == 0:
-                    expected = {(0, 0, 0)}
-                got = set(map(tuple, shell_points(m, spec).points))
-                assert got == expected
+                got = shell_points(m, spec).points
+                assert got.dtype == np.int64
+                assert np.array_equal(got, lexicographic_shell(m, rank))
 
     def test_rank0_higher_shells_empty(self):
         assert len(shell_points(3, LatticeSpec())) == 0
@@ -168,6 +174,31 @@ class TestPeriodized:
         with pytest.raises(ValueError):
             periodized_solution_batch(np.zeros((1, 3)), 0.5,
                                       KernelParams(1.0), RANK3, 0.0)
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(1, (False,)), LatticeSpec(1, (True,)),
+        LatticeSpec(2, (False, False)), LatticeSpec(2, (True, False)),
+        RANK3, LatticeSpec(3, (True, True, True))], ids=str)
+    @pytest.mark.parametrize("t", [0.03125, 0.4375])
+    def test_blocked_sum_is_bitwise_unblocked(self, spec, t):
+        # the unblocked shell sum: the full point x shell array, a per-point
+        # time array and one einsum per shell
+        params = KernelParams(1.0)
+        block = lattice._BLOCK_PAIRS // len(shell_points(1, spec))
+        rng = np.random.default_rng(spec.rank)
+        for n in (1, block - 1, block + 1):
+            points = rng.uniform(-1.0, 1.0, (n, 3))
+            value, _, shells = periodized_solution_batch(points, t, params,
+                                                         spec, 1e-10)
+            want = np.zeros((n, 7))
+            for m in range(shells):
+                omegas = lexicographic_shell(m, spec.rank)
+                signs = np.array([sign_of(w, spec) for w in omegas], float)
+                shifted = points[:, None, :] + omegas[None, :, :]
+                contrib = fundamental_solution_array(
+                    shifted, np.full(shifted.shape[:-1], t), params.k)
+                want += np.einsum("j,ijc->ic", signs, contrib)
+            assert np.array_equal(value, want)
 
     def test_shell_cap_error(self):
         # an absurd tolerance cannot be reached within the shell cap
