@@ -69,6 +69,24 @@ def _parse_lines(path: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
+def _parse_bool(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _parse_flags(text: str, rank: int) -> tuple[bool, ...]:
+    """Antiperiodicity flags: none (all periodic) or one per generator."""
+    parts = text.split(",") if text.strip() else []
+    if len(parts) not in (0, rank):
+        raise ValueError(f"need 0 or {rank} antiperiodicity flags, got "
+                         f"{len(parts)}")
+    return tuple(_parse_bool(p) for p in parts) or (False,) * rank
+
+
 def _get(entries, key, path, cast=str, default=None, required=False):
     if key not in entries:
         if required:
@@ -76,13 +94,6 @@ def _get(entries, key, path, cast=str, default=None, required=False):
         return default
     value, lineno = entries[key]
     try:
-        if cast is bool:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
         return cast(value)
     except ValueError as exc:
         raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
@@ -109,16 +120,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: domain.kind={kind} requires "
                           f"lattice.rank in {valid}, got {rank}")
 
-    flags_raw = _get(entries, "lattice.anti_flags", path, default=None)
-    if flags_raw is None:
-        anti_flags = (False,) * rank
-    else:
-        parts = [p.strip().lower() for p in flags_raw.split(",") if p.strip()]
-        if len(parts) != rank:
-            lineno = entries["lattice.anti_flags"][1]
-            raise ConfigError(f"{path}:{lineno}: need {rank} "
-                              f"anti-periodicity flags, got {len(parts)}")
-        anti_flags = tuple(p in ("true", "1", "yes") for p in parts)
+    anti_flags = _get(entries, "lattice.anti_flags", path,
+                      lambda text: _parse_flags(text, rank),
+                      default=(False,) * rank)
 
     extent_raw = _get(entries, "domain.extent", path, default=None)
     if extent_raw is None:
@@ -312,16 +316,15 @@ def cmd_kernel(args) -> int:
         print(f"bad --point: {exc}", file=sys.stderr)
         return 2
     params = KernelParams(args.k)
+    spec = LatticeSpec()
     if args.lattice:
-        parts = args.lattice.split(",")
-        rank = int(parts[0])
-        flags = tuple(p.strip().lower() in ("true", "1", "yes")
-                      for p in parts[1:])
-        if len(flags) != rank:
-            flags = (False,) * rank
-        spec = LatticeSpec(rank, flags)
-    else:
-        spec = LatticeSpec()
+        rank_text, _, flags_text = args.lattice.partition(",")
+        try:
+            rank = int(rank_text)
+            spec = LatticeSpec(rank, _parse_flags(flags_text, rank))
+        except ValueError as exc:
+            print(f"bad --lattice: {exc}", file=sys.stderr)
+            return 2
     header = "s,v1,v2,v3,wf,wfd,wn"
     if spec.rank == 0:
         value = fundamental_solution(SpaceTimePoint(point, args.time), params)
@@ -499,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run oracle suites")
     p_check.add_argument("--suite", default="all", choices=_SUITES)
     p_check.add_argument("--output", default=None)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check)
 
     p_kernel = sub.add_parser("kernel", help="evaluate the causal kernel")
@@ -524,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="estimate contraction constants")
     p_const.add_argument("--config", required=True)
     p_const.add_argument("--seed", type=int, default=0)
-    p_const.add_argument("--output", default=None)
     p_const.set_defaults(func=cmd_constants)
     return parser
 

@@ -436,41 +436,48 @@ _FULL_HEADER = "x,y,z,t,s,v1,v2,v3,wf,wfd,wn"
 _SOLVER_HEADER = "x,y,z,t,u1,u2,u3,p"
 
 
-def _rows(grid: SpaceTimeGrid):
-    """Row coordinates in mandated order: time-major, lexicographic nodes."""
-    xs, ts = grid.node_positions()
-    for j in range(grid.nt):
-        for i1 in range(grid.dims[0]):
-            for i2 in range(grid.dims[1]):
-                for i3 in range(grid.dims[2]):
-                    yield (i1, i2, i3, j), xs[i1, i2, i3], ts[j]
+def _to_rows(values: np.ndarray) -> np.ndarray:
+    """Node array (*dims, nt, c) as rows (n_cells, c) in mandated order:
+    time-major, lexicographic nodes."""
+    return np.moveaxis(values, 3, 0).reshape(-1, values.shape[-1])
+
+
+def _from_rows(rows: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Inverse of ``_to_rows``."""
+    nodes = rows.reshape((grid.nt,) + grid.dims + (rows.shape[-1],))
+    return np.ascontiguousarray(np.moveaxis(nodes, 0, 3))
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _write_rows(path, header: str, grid: SpaceTimeGrid,
+                values: np.ndarray) -> None:
+    """CSV with columns x,y,z,t followed by those of ``values``."""
+    xs, ts = grid.node_positions()
+    coords = np.empty(grid.shape + (4,))
+    coords[..., :3] = xs[..., None, :]
+    coords[..., 3] = ts
+    rows = _to_rows(np.concatenate([coords, values], axis=-1))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 def export_field_csv(u: Field, path) -> None:
     """All 7 coefficients per node; deterministic row order."""
-    with open(path, "w") as fh:
-        fh.write(_FULL_HEADER + "\n")
-        for idx, x, t in _rows(u.grid):
-            vals = u.values[idx]
-            fh.write(",".join([_fmt(x[0]), _fmt(x[1]), _fmt(x[2]), _fmt(t)]
-                              + [_fmt(v) for v in vals]) + "\n")
+    _write_rows(path, _FULL_HEADER, u.grid, u.values)
 
 
 def export_solution_csv(u: Field, p: Field, path) -> None:
     """Velocity components and pressure per node (solver view)."""
     if u.grid != p.grid:
         raise ValueError("velocity and pressure live on different grids")
-    with open(path, "w") as fh:
-        fh.write(_SOLVER_HEADER + "\n")
-        for idx, x, t in _rows(u.grid):
-            vel = u.values[idx][1:4]
-            fh.write(",".join([_fmt(x[0]), _fmt(x[1]), _fmt(x[2]), _fmt(t),
-                               _fmt(vel[0]), _fmt(vel[1]), _fmt(vel[2]),
-                               _fmt(p.values[idx][0])]) + "\n")
+    _write_rows(path, _SOLVER_HEADER, u.grid,
+                np.concatenate([u.values[..., 1:4], p.values[..., :1]],
+                               axis=-1))
 
 
 def load_field_csv(path, grid: SpaceTimeGrid) -> Field:
@@ -481,12 +488,4 @@ def load_field_csv(path, grid: SpaceTimeGrid) -> Field:
     expected = grid.n_cells
     if data.shape[0] != expected or data.shape[1] != 11:
         raise ValueError(f"csv shape {data.shape} does not match grid")
-    values = np.zeros(grid.shape + (7,))
-    r = 0
-    for j in range(grid.nt):
-        for i1 in range(grid.dims[0]):
-            for i2 in range(grid.dims[1]):
-                for i3 in range(grid.dims[2]):
-                    values[i1, i2, i3, j] = data[r, 4:]
-                    r += 1
-    return Field(values, grid)
+    return Field(_from_rows(data[:, 4:], grid), grid)

@@ -14,7 +14,7 @@ The Bergman projection is computed algebraically from the boundary system
 ``trace o volume o boundary`` restricted to the causally active boundary
 components (the terminal cap, and the conormal null directions of each
 element, contribute nothing to the boundary potential and are excluded from
-the square system).  Kernel tables, face groups and the factorization are
+the square system).  Kernel tables, face groups and the pseudo-inverses are
 built once per ``OperatorContext`` and live as long as it does.
 """
 
@@ -69,18 +69,17 @@ class BoundaryData:
 class OperatorContext:
     """Domain, kernel parameter and lattice wiring for the operator stack.
 
-    ``quad_tol`` drives the periodized-kernel shell summation;
-    ``bergman_reg`` scales the ridge fallback for an ill-conditioned
-    boundary system.  Construction requires a calibrated operator
-    convention.  The context owns every kernel table and factorization
-    built for it; it is frozen so that they cannot go stale.
+    ``quad_tol`` drives the periodized-kernel shell summation.
+    Construction requires a calibrated operator convention.  The context
+    owns every kernel table and pseudo-inverse built for it (the Bergman
+    boundary system here, the pressure system in the solver); it is frozen
+    so that they cannot go stale.
     """
 
     domain: Domain
     params: KernelParams
     lattice: LatticeSpec = dataclass_field(default_factory=LatticeSpec)
     quad_tol: float = 1e-10
-    bergman_reg: float = 1e-10
     _cache: dict = dataclass_field(default_factory=dict, init=False,
                                    repr=False, compare=False)
 
@@ -88,8 +87,6 @@ class OperatorContext:
         active_convention()
         if self.quad_tol <= 0:
             raise ValueError("quad_tol must be positive")
-        if self.bergman_reg < 0:
-            raise ValueError("bergman_reg must be >= 0")
         g = self.domain.grid
         for d in range(3):
             expected = d < self.lattice.rank
@@ -128,13 +125,6 @@ def _layouts(ctx: OperatorContext):
     flags = ctx.lattice.anti_flags + (False,) * (3 - ctx.lattice.rank)
     return [_axis_layout(g.dims[d], g.periodic[d], flags[d])
             for d in range(3)]
-
-
-def _time_offsets(nt: int):
-    size = 2 * nt - 1
-    offs = np.arange(size)
-    offs = np.where(offs < nt, offs, offs - size)
-    return size, offs
 
 
 def _eval_kernel_grid(ctx: OperatorContext, xo: list[np.ndarray],
@@ -266,7 +256,7 @@ def _volume_conv(ctx: OperatorContext) -> _Convolution:
     def build():
         g = ctx.domain.grid
         lay = _layouts(ctx)
-        _, t_off = _time_offsets(g.nt)
+        _, t_off = _axis_layout(g.nt, False, False)
         xo = [lay[d][1] * g.h for d in range(3)]
         table = _eval_kernel_grid(ctx, xo, t_off * g.dt)
         return _Convolution(table[None], g.shape)
@@ -346,7 +336,7 @@ def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
         g = d.grid
         lay = _layouts(ctx)
         xo = [lay[a][1] * g.h for a in range(3)]
-        _, t_off = _time_offsets(g.nt)
+        _, t_off = _axis_layout(g.nt, False, False)
         groups = []
         for axis in range(3):
             if g.periodic[axis]:
@@ -439,12 +429,61 @@ def trace_adjoint(bd: BoundaryData, ctx: OperatorContext) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Bergman projection
+# Truncated-SVD pseudo-inverse
 # ---------------------------------------------------------------------------
 
 class ConditioningError(RuntimeError):
-    """Boundary system is numerically singular beyond regularization."""
+    """A dense system vanished identically, so it has no pseudo-inverse."""
 
+
+# Relative singular-value cutoff shared by every pseudo-inverse.
+_RCOND = 1e-10
+
+
+@dataclass(frozen=True)
+class _PseudoInverse:
+    """Truncated SVD ``u diag(s) vt`` of a dense system."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.vt.T @ ((self.u.T @ b) / self.s)
+
+    def solve_transpose(self, z: np.ndarray) -> np.ndarray:
+        return self.u @ ((self.vt @ z) / self.s)
+
+
+def _pseudo_inverse(apply, n: int) -> _PseudoInverse:
+    """Truncated SVD of the linear map ``apply`` on ``n >= 1`` unknowns.
+
+    The system is assembled column by column from one-hot probes; the
+    singular values above ``_RCOND`` times the largest are kept.  The
+    factors are truncated by slicing: a boolean-mask copy would change
+    their memory layout, hence the BLAS path and the roundoff of every
+    solve.
+    """
+    probe = np.zeros(n)
+    a = None
+    for j in range(n):
+        probe[:] = 0.0
+        probe[j] = 1.0
+        column = apply(probe)
+        if a is None:
+            a = np.zeros((len(column), n))
+        a[:, j] = column
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
+        raise ConditioningError(
+            "system vanished identically; no pseudo-inverse exists")
+    rank = int(np.sum(s > _RCOND * s[0]))
+    return _PseudoInverse(u[:, :rank], s[:rank], vt[:rank])
+
+
+# ---------------------------------------------------------------------------
+# Bergman projection
+# ---------------------------------------------------------------------------
 
 def _active_mask(ctx: OperatorContext) -> np.ndarray:
     """Boundary components that can influence the boundary potential.
@@ -466,57 +505,31 @@ def _active_mask(ctx: OperatorContext) -> np.ndarray:
     return mask
 
 
+def _active_density(z: np.ndarray, ctx: OperatorContext) -> BoundaryData:
+    """Boundary density holding ``z`` on the active components, else 0."""
+    values = np.zeros((ctx.domain.n_boundary, 7))
+    values[_active_mask(ctx)] = z
+    return BoundaryData(values, ctx.domain)
+
+
 def _compose_trace_volume(u: Field, ctx: OperatorContext) -> BoundaryData:
     return boundary_trace(teodorescu(u, ctx), ctx)
 
 
-def _bergman_factorization(ctx: OperatorContext):
-    """Rank-revealing factorization of the boundary system.
+def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
+    """Pseudo-inverse of the boundary system ``trace o volume o boundary``.
 
     Columns are restricted to the causally active boundary components, rows
     keep every component of the traced volume potential (the system maps
-    between different component sectors).  A truncated singular value
-    decomposition realizes the inverse: the pseudo-inverse keeps the
+    between different component sectors).  The truncated SVD keeps the
     projector exactly idempotent even when strict causality makes the
-    system rank deficient, which plays the role of the ridge fallback.
+    system rank deficient.
     """
-    def build():
-        d = ctx.domain
-        mask = _active_mask(ctx)
-        active = np.nonzero(mask.reshape(-1))[0]
-        n_act = len(active)
-        n_rows = d.n_boundary * 7
-        columns = np.zeros((n_rows, n_act))
-        bd_vals = np.zeros((d.n_boundary, 7))
-        for i, flat in enumerate(active):
-            bd_vals[:] = 0.0
-            bd_vals[flat // 7, flat % 7] = 1.0
-            f = cauchy_transform(BoundaryData(bd_vals, d), ctx)
-            r = _compose_trace_volume(f, ctx)
-            columns[:, i] = r.values.reshape(-1)
-        u_svd, s_svd, vt_svd = np.linalg.svd(columns, full_matrices=False)
-        if not len(s_svd) or s_svd[0] == 0.0:
-            raise ConditioningError(
-                "boundary system vanished identically; no projection exists")
-        cutoff = max(1e-12, ctx.bergman_reg) * s_svd[0]
-        rank = int(np.sum(s_svd > cutoff))
-        if rank == 0:
-            raise ConditioningError(
-                "boundary system singular beyond regularization (largest "
-                f"singular value {s_svd[0]:.3e})")
-        return {"u": u_svd[:, :rank], "s": s_svd[:rank],
-                "vt": vt_svd[:rank], "active": active, "rank": rank,
-                "spectrum": (float(s_svd[0]), float(s_svd[rank - 1])),
-                "n_active": n_act}
-    return ctx._cached("bergman_factorization", build)
-
-
-def _pinv_apply(fac, rhs: np.ndarray) -> np.ndarray:
-    return fac["vt"].T @ ((fac["u"].T @ rhs) / fac["s"])
-
-
-def _pinv_apply_transpose(fac, z: np.ndarray) -> np.ndarray:
-    return fac["u"] @ ((fac["vt"] @ z) / fac["s"])
+    def apply(z):
+        f = cauchy_transform(_active_density(z, ctx), ctx)
+        return _compose_trace_volume(f, ctx).values.reshape(-1)
+    return ctx._cached("bergman_factorization", lambda: _pseudo_inverse(
+        apply, int(np.sum(_active_mask(ctx)))))
 
 
 def bergman_projection(u: Field, ctx: OperatorContext) -> Field:
@@ -528,11 +541,7 @@ def bergman_projection(u: Field, ctx: OperatorContext) -> Field:
     """
     fac = _bergman_factorization(ctx)
     rhs = _compose_trace_volume(u, ctx).values.reshape(-1)
-    z = _pinv_apply(fac, rhs)
-    bd_vals = np.zeros(ctx.domain.n_boundary * 7)
-    bd_vals[fac["active"]] = z
-    return cauchy_transform(
-        BoundaryData(bd_vals.reshape(-1, 7), ctx.domain), ctx)
+    return cauchy_transform(_active_density(fac.solve(rhs), ctx), ctx)
 
 
 def bergman_complement(u: Field, ctx: OperatorContext) -> Field:
@@ -543,7 +552,7 @@ def bergman_complement(u: Field, ctx: OperatorContext) -> Field:
 def bergman_projection_adjoint(w: Field, ctx: OperatorContext) -> Field:
     """Plain-coordinate transpose of the Bergman projection."""
     fac = _bergman_factorization(ctx)
-    rhs = cauchy_adjoint(w, ctx).values.reshape(-1)
-    z = _pinv_apply_transpose(fac, rhs[fac["active"]])
+    rhs = cauchy_adjoint(w, ctx).values[_active_mask(ctx)]
+    z = fac.solve_transpose(rhs)
     bd = BoundaryData(z.reshape(-1, 7), ctx.domain)
     return teodorescu_adjoint(trace_adjoint(bd, ctx), ctx)

@@ -21,13 +21,14 @@ contraction constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
 from .domain import Field, diff_field, discrete_grad, discrete_norm
-from .potentials import (OperatorContext, bergman_complement,
-                         bergman_projection_adjoint, teodorescu,
-                         teodorescu_adjoint)
+from .potentials import (OperatorContext, _pseudo_inverse,
+                         bergman_complement, bergman_projection_adjoint,
+                         teodorescu, teodorescu_adjoint)
 
 __all__ = [
     "NavierStokesProblem",
@@ -44,9 +45,6 @@ __all__ = [
 
 # Largest pressure system (one unknown per grid cell) the dense solve takes.
 MAX_PRESSURE_CELLS = 4000
-
-# Relative singular-value cutoff of the pressure pseudo-inverse.
-_PRESSURE_RCOND = 1e-10
 
 
 class SolverDivergence(RuntimeError):
@@ -90,7 +88,6 @@ class SolverReport:
     W: float | None = None
     L: float | None = None
     admissible: bool | None = None
-    p_gauge: float = 0.0
     converged: bool = True
     warnings: list[str] = dataclass_field(default_factory=list)
 
@@ -130,45 +127,27 @@ def _zero_mean(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
-class _PressureSystem:
-    """Scalar system Re(Q T D p) = rhs with zero-mean gauge.
+def _pressure_apply(ctx: OperatorContext, p_flat: np.ndarray) -> np.ndarray:
+    """Scalar system map p -> Re(Q T D p) with zero-mean gauge."""
+    grid = ctx.domain.grid
+    p = Field.from_scalar(_zero_mean(p_flat.reshape(grid.shape)), grid)
+    w = bergman_complement(teodorescu(discrete_grad(p), ctx), ctx)
+    return _zero_mean(w.scalar()).reshape(-1)
+
+
+def _pressure_solve(ctx: OperatorContext, g_field: Field) -> np.ndarray:
+    """Flat zero-mean pressure solving Re(Q T D p) = Re(Q T g).
 
     The composite is a product of smoothing operators, so its discrete
-    spectrum is steeply graded.  The system is assembled densely once
-    (cached on the instance) and solved by truncated least squares, which
-    also fixes the additive gauge mode.
+    spectrum is steeply graded.  The system is assembled densely once per
+    context and solved by truncated least squares, which also fixes the
+    additive gauge mode.
     """
-
-    def __init__(self, ctx: OperatorContext):
-        self.ctx = ctx
-        self.grid = ctx.domain.grid
-        self.n = self.grid.n_cells
-        self._svd = None
-
-    def _apply_flat(self, p_flat: np.ndarray) -> np.ndarray:
-        p = Field.from_scalar(_zero_mean(p_flat.reshape(self.grid.shape)),
-                              self.grid)
-        w = bergman_complement(teodorescu(discrete_grad(p), self.ctx),
-                               self.ctx)
-        return _zero_mean(w.scalar()).reshape(-1)
-
-    def right_side(self, g_field: Field) -> np.ndarray:
-        w = bergman_complement(teodorescu(g_field, self.ctx), self.ctx)
-        return _zero_mean(w.scalar()).reshape(-1)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._svd is None:
-            a = np.zeros((self.n, self.n))
-            probe = np.zeros(self.n)
-            for j in range(self.n):
-                probe[:] = 0.0
-                probe[j] = 1.0
-                a[:, j] = self._apply_flat(probe)
-            u_svd, s_svd, vt_svd = np.linalg.svd(a, full_matrices=False)
-            keep = s_svd > _PRESSURE_RCOND * s_svd[0]
-            self._svd = (u_svd[:, keep], s_svd[keep], vt_svd[keep])
-        u_svd, s_svd, vt_svd = self._svd
-        return _zero_mean(vt_svd.T @ ((u_svd.T @ b) / s_svd))
+    w = bergman_complement(teodorescu(g_field, ctx), ctx)
+    b = _zero_mean(w.scalar()).reshape(-1)
+    fac = ctx._cached("pressure_system", lambda: _pseudo_inverse(
+        partial(_pressure_apply, ctx), ctx.domain.grid.n_cells))
+    return _zero_mean(fac.solve(b))
 
 
 def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
@@ -179,7 +158,7 @@ def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
     degenerate cross products shed small non-vector byproducts that have no
     velocity interpretation).
     """
-    w = teodorescu(bergman_complement(teodorescu(g_field, ctx), ctx), ctx)
+    w = _composite(ctx, g_field)
     return Field.from_vector(w.vector(), w.grid)
 
 
@@ -190,16 +169,12 @@ def solve_linear(prob: NavierStokesProblem):
     """
     ctx = prob.ctx
     grid = ctx.domain.grid
-    system = _PressureSystem(ctx)
-    b = system.right_side(prob.forcing)
-    p_flat = system.solve(b)
-    gauge = float(p_flat.mean())
+    p_flat = _pressure_solve(ctx, prob.forcing)
     p = Field.from_scalar(_zero_mean(p_flat.reshape(grid.shape)), grid)
     u = _velocity_from(ctx, prob.forcing - discrete_grad(p))
     report = SolverReport(
         iterations=1,
         residual_history=[discrete_norm(u, "W11")],
-        p_gauge=gauge,
     )
     return u, p, report
 
@@ -233,7 +208,6 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
     else:
         c1, c2 = constants
 
-    system = _PressureSystem(ctx)
     history: list[float] = []
     p = Field.zeros(grid)
     converged = False
@@ -242,8 +216,8 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
     for _ in range(max_iter):
         iterations += 1
         rhs = prob.forcing - convective_term(u)
-        b = system.right_side(rhs)
-        p = Field.from_scalar(system.solve(b).reshape(grid.shape), grid)
+        p_flat = _pressure_solve(ctx, rhs)
+        p = Field.from_scalar(p_flat.reshape(grid.shape), grid)
         u_next = _velocity_from(ctx, rhs - discrete_grad(p))
         step = discrete_norm(u_next - u, "W11")
         if history and step > history[-1]:

@@ -78,6 +78,14 @@ class TestConfigParsing:
         loaded = cli.load_config(cfg)
         assert loaded.anti_flags == (True, False, True)
 
+    @pytest.mark.parametrize("flags", ["true,ture,false", "true,,false",
+                                       "true,false", "true,false,true,true"])
+    def test_bad_anti_flags_rejected(self, tmp_path, flags):
+        # a misspelled flag must not silently become periodic
+        cfg = write_config(tmp_path, **{"lattice.anti_flags": flags})
+        with pytest.raises(cli.ConfigError, match="anti_flags"):
+            cli.load_config(cfg)
+
 
 class TestCommands:
     def test_unknown_suite_exit_2(self, capsys):
@@ -171,6 +179,26 @@ class TestCommands:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "1"   # threads in the process
+
+    @pytest.mark.parametrize("lattice", ["3,true", "3,true,false",
+                                         "1,ture", "x", "2.5", "4"])
+    def test_kernel_bad_lattice_exit_2(self, lattice, capsys):
+        assert cli.main(["kernel", "--point", "0.3,0.2,0.1", "--time", "0.5",
+                         "--k", "1.0", "--lattice", lattice]) == 2
+        assert "bad --lattice" in capsys.readouterr().err
+
+    def test_kernel_lattice_without_flags_is_periodic(self, capsys):
+        outputs = []
+        for lattice in ("3", "3,false,false,false", "3,no,0,False"):
+            assert cli.main(["kernel", "--point", "0.3,0.2,0.1", "--time",
+                             "0.5", "--k", "1.0", "--lattice", lattice]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_unread_flags_are_gone(self, tmp_path, capsys):
+        assert cli.main(["check", "--seed", "1"]) == 2
+        assert cli.main(["constants", "--config", write_config(tmp_path),
+                         "--output", "out"]) == 2
 
     def test_kernel_bad_point_exit_2(self, capsys):
         assert cli.main(["kernel", "--point", "0.3,0.2", "--time", "0.5",

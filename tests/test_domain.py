@@ -228,6 +228,37 @@ class TestCsvExport:
         back = load_field_csv(path, grid)
         assert np.allclose(back.values, u.values, rtol=0, atol=0)
 
+    def test_row_order_on_non_cubic_grid(self, tmp_path):
+        # distinct axis lengths expose a swapped axis in the row order
+        grid = SpaceTimeGrid(h=0.25, dt=0.125, dims=(3, 4, 5), nt=2)
+        rng = np.random.default_rng(5)
+        u = Field(rng.standard_normal(grid.shape + (7,)), grid)
+        p = Field(rng.standard_normal(grid.shape + (7,)), grid)
+        field_path = tmp_path / "field.csv"
+        solution_path = tmp_path / "solution.csv"
+        export_field_csv(u, field_path)
+        export_solution_csv(u, p, solution_path)
+        field = np.loadtxt(field_path, delimiter=",", skiprows=1)
+        solution = np.loadtxt(solution_path, delimiter=",", skiprows=1)
+        xs, ts = grid.node_positions()
+        r = 0
+        for j in range(grid.nt):
+            for i1 in range(3):
+                for i2 in range(4):
+                    for i3 in range(5):
+                        coords = list(xs[i1, i2, i3]) + [ts[j]]
+                        assert list(field[r, :4]) == coords
+                        assert list(solution[r, :4]) == coords
+                        assert list(field[r, 4:]) == list(u.values[i1, i2,
+                                                                   i3, j])
+                        assert list(solution[r, 4:]) == (
+                            list(u.values[i1, i2, i3, j, 1:4])
+                            + [p.values[i1, i2, i3, j, 0]])
+                        r += 1
+        assert r == len(field) == len(solution)
+        back = load_field_csv(field_path, grid)
+        assert np.array_equal(back.values, u.values)
+
     def test_deterministic_bytes(self, tmp_path):
         grid = SpaceTimeGrid(h=1.0 / 3, dt=0.25, dims=(3, 3, 3), nt=4)
         rng = np.random.default_rng(4)

@@ -373,16 +373,14 @@ class TestBergman:
     def test_reproduces_resolved_boundary_potentials(self):
         # fields generated by boundary densities inside the resolved part
         # of the boundary system are fixed points of the projection
-        from wittflow.potentials import _bergman_factorization
+        from wittflow.potentials import (_active_density,
+                                         _bergman_factorization)
         ctx = torus_ctx()
         fac = _bergman_factorization(ctx)
-        d = ctx.domain
         rng = np.random.default_rng(13)
-        weights = rng.standard_normal(min(fac["rank"], 20))
-        z = fac["vt"][:len(weights)].T @ weights
-        bd_vals = np.zeros(d.n_boundary * 7)
-        bd_vals[fac["active"]] = z
-        w = cauchy_transform(BoundaryData(bd_vals.reshape(-1, 7), d), ctx)
+        weights = rng.standard_normal(min(len(fac.s), 20))
+        z = fac.vt[:len(weights)].T @ weights
+        w = cauchy_transform(_active_density(z, ctx), ctx)
         pw = bergman_projection(w, ctx)
         err = discrete_norm(pw - w, "L2") / discrete_norm(w, "L2")
         assert err < 1e-8
@@ -412,6 +410,37 @@ class TestBergman:
         assert _bergman_factorization(ctx) is fac
 
 
+class TestPseudoInverse:
+    def test_keeps_singular_values_above_relative_cutoff(self):
+        from wittflow.potentials import _RCOND, _pseudo_inverse
+        rng = np.random.default_rng(14)
+        q_out, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        q_in, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        sigma = np.array([3.0, 1.0, 1e-3, 3.0 * _RCOND * 1.5,
+                          3.0 * _RCOND * 0.5, 1e-14])
+        a = q_out[:, :6] @ np.diag(sigma) @ q_in.T
+        calls = []
+
+        def apply(x):
+            calls.append(x.copy())
+            return a @ x
+        fac = _pseudo_inverse(apply, 6)
+        # one one-hot probe per unknown
+        assert np.array_equal(np.array(calls), np.eye(6))
+        assert np.allclose(fac.s, sigma[:4], rtol=1e-6)
+        assert fac.u.shape == (9, 4) and fac.vt.shape == (4, 6)
+        # inverts the kept part, in both directions
+        x = q_in[:, :2] @ np.array([0.7, -1.3])
+        assert np.allclose(fac.solve(a @ x), x, atol=1e-12)
+        y = q_out[:, :2] @ np.array([0.4, 2.0])
+        assert np.allclose(fac.solve_transpose(a.T @ y), y, atol=1e-12)
+
+    def test_zero_operator_raises(self):
+        from wittflow.potentials import ConditioningError, _pseudo_inverse
+        with pytest.raises(ConditioningError):
+            _pseudo_inverse(lambda x: np.zeros(4), 3)
+
+
 class TestContextValidation:
     def test_periodicity_mismatch(self):
         d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)
@@ -430,5 +459,3 @@ class TestContextValidation:
         d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)
         with pytest.raises(ValueError):
             OperatorContext(d, KernelParams(1.0), quad_tol=0.0)
-        with pytest.raises(ValueError):
-            OperatorContext(d, KernelParams(1.0), bergman_reg=-1.0)

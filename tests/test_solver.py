@@ -181,6 +181,25 @@ class TestLinearSolve:
             NavierStokesProblem(ctx, Field.zeros(ctx.domain.grid))
         assert not ctx._cache
 
+    def test_pressure_system_is_built_once_per_context(self, monkeypatch):
+        # the context owns the pressure pseudo-inverse: a later solve on it,
+        # linear or fixed point, reuses it without a new probe sweep
+        from wittflow import potentials, solver
+        ctx = torus_ctx(n=3, nt=4)
+        f = verify.vector_bump_field(ctx.domain.grid) * 0.05
+        prob = NavierStokesProblem(ctx, f)
+        sweeps = []
+
+        def counted(apply, n):
+            sweeps.append(n)
+            return potentials._pseudo_inverse(apply, n)
+        monkeypatch.setattr(solver, "_pseudo_inverse", counted)
+        solve_linear(prob)
+        assert sweeps == [ctx.domain.grid.n_cells]
+        fixed_point_solve(prob, max_iter=2, tol=0.0, constants=(1.0, 1.0))
+        solve_linear(prob)
+        assert sweeps == [ctx.domain.grid.n_cells]
+
     def test_forcing_must_be_vector(self, small_ctx):
         bad = Field.zeros(small_ctx.domain.grid)
         bad.values[..., 4] = 1.0
