@@ -94,6 +94,17 @@ class SpaceTimeGrid:
         return grid, self.axis_centers(3)
 
 
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    """``values`` unchanged, once every entry is checked to be finite.
+
+    This is Field's check; array-level operator code that builds no Field
+    runs it wherever a Field would have been built.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field contains non-finite values")
+    return values
+
+
 @dataclass
 class Field:
     """Algebra-valued function sampled on grid nodes; shape (*dims, nt, 7)."""
@@ -108,8 +119,7 @@ class Field:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid "
                 f"shape {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
+        _check_finite(self.values)
 
     @classmethod
     def zeros(cls, grid: SpaceTimeGrid) -> "Field":
@@ -393,11 +403,23 @@ def discrete_div(u: Field) -> Field:
     return Field.from_scalar(-discrete_spatial_dirac(u).scalar(), u.grid)
 
 
+def _grad(p: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Gradient of scalar node values ``(..., *grid.shape)`` as e-vector
+    values ``(..., *grid.shape, 7)``; leading axes are a batch.
+
+    Left multiplication by ``ej`` moves a scalar into component ``j``
+    exactly, so the Dirac operator on a scalar needs no algebra product.
+    """
+    out = np.zeros(p.shape + (7,))
+    for axis in range(3):
+        out[..., 1 + axis] = diff_field(p, axis - 4, grid.h,
+                                        grid.periodic[axis], edge_order=2)
+    return out
+
+
 def discrete_grad(p: Field) -> Field:
     """Gradient of a scalar field as an e-vector field."""
-    return Field.from_vector(
-        discrete_spatial_dirac(Field.from_scalar(p.scalar(), p.grid)).vector(),
-        p.grid)
+    return Field(_grad(p.scalar(), p.grid), p.grid)
 
 
 def _forward_gap_diffs(u: Field) -> list[np.ndarray]:

@@ -21,10 +21,11 @@ built once per ``OperatorContext`` and live as long as it does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
-from .domain import Domain, Field
+from .domain import Domain, Field, _check_finite
 from .kernels import KernelParams, active_convention, fundamental_solution_array
 from .lattice import LatticeSpec, periodized_solution_batch
 from .witt_algebra import mul_arrays, mul_matrix, structure_tensor
@@ -171,12 +172,16 @@ class _Convolution:
     nonzero structure constants; all of them are +-1, so each term adds or
     subtracts one pointwise product of spectra.
 
-    ``apply`` skips what is exactly zero: it transforms only the input
-    components that hold a nonzero value, runs only the pairs whose input
-    component is live, and inverse-transforms only the output components
-    some pair reached (the rest are exact zeros).  The skipped terms would
-    add exact zeros, and every kept operation runs on the same operands in
-    the same order, so the result is bitwise that of the dense contraction.
+    ``apply`` takes a leading batch axis of probes and skips what is
+    exactly zero, per probe: it transforms only the input components that
+    hold a nonzero value, runs only the pairs whose input component is
+    live, and inverse-transforms only the output components some pair
+    reached (the rest are exact zeros).  Probes that share their live
+    components run together; the FFTs transform each line on its own, so a
+    probe's spectra do not depend on the others in its block.  The skipped
+    terms would add exact zeros, and every kept operation runs on the same
+    operands in the same order, so the result is bitwise that of the dense
+    contraction of one probe at a time.
     """
 
     def __init__(self, table: np.ndarray, data_shape):
@@ -217,26 +222,36 @@ class _Convolution:
         return np.moveaxis(r[crop], 0, -1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """data_shape + (7,) -> (L,) + data_shape + (7,)."""
-        live = np.any(values, axis=tuple(range(values.ndim - 1)))
-        pairs = [(a, b, outs) for (a, b), outs in self.pairs.items()
-                 if live[b]]
-        reached = sorted({c for _, _, outs in pairs for c, _ in outs})
-        out = np.zeros(self.k_hat.shape[1:2] + self.data_shape + (7,))
-        if not reached:
-            return out
-        inputs = sorted({b for _, b, _ in pairs})
-        u_hat = dict(zip(inputs, self._forward(values[..., inputs], 0)))
-        row = {c: i for i, c in enumerate(reached)}
-        r_hat = np.zeros((len(reached),) + self.k_hat.shape[1:],
-                         dtype=complex)
-        prod = np.empty(self.k_hat.shape[1:], dtype=complex)
-        for a, b, outs in pairs:
-            np.multiply(self.k_hat[a], u_hat[b], out=prod)
-            for c, op in outs:
-                r = r_hat[row[c]]
-                op(r, prod, out=r)
-        out[..., reached] = self._crop(r_hat, 1)
+        """(m,) + data_shape + (7,) -> (m, L) + data_shape + (7,)."""
+        spectrum = self.k_hat.shape[1:]
+        out = np.zeros((len(values),) + spectrum[:1] + self.data_shape
+                       + (7,))
+        live = np.any(values, axis=tuple(range(1, values.ndim - 1)))
+        signatures, which = np.unique(live, axis=0, return_inverse=True)
+        for signature, sig_live in enumerate(signatures):
+            pairs = [(a, b, outs) for (a, b), outs in self.pairs.items()
+                     if sig_live[b]]
+            reached = sorted({c for _, _, outs in pairs for c, _ in outs})
+            if not reached:
+                continue
+            probes = np.flatnonzero(which == signature)
+            # one component per transform, and the forward spectra freed
+            # before the inverse ones: the heap keeps a block's peak working
+            # set, and it adds to the peak RSS of the SVD that follows
+            u_hat = {b: self._forward(values[probes, ..., b:b + 1], 1)[0]
+                     for b in sorted({b for _, b, _ in pairs})}
+            row = {c: i for i, c in enumerate(reached)}
+            r_hat = np.zeros((len(reached), len(probes)) + spectrum,
+                             dtype=complex)
+            prod = np.empty((len(probes),) + spectrum, dtype=complex)
+            for a, b, outs in pairs:
+                np.multiply(self.k_hat[a], u_hat[b][:, None], out=prod)
+                for c, op in outs:
+                    r = r_hat[row[c]]
+                    op(r, prod, out=r)
+            del u_hat, prod
+            for i, c in enumerate(reached):
+                out[probes, ..., c] = self._crop(r_hat[i:i + 1], 2)[..., 0]
         return out
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
@@ -264,7 +279,28 @@ def _volume_conv(ctx: OperatorContext) -> _Convolution:
 
 
 def _active_slabs(values: np.ndarray) -> np.ndarray:
-    return np.nonzero(np.any(values != 0.0, axis=(0, 1, 2, 4)))[0]
+    """(m, nt) flags of the time slabs where each field of a block is
+    nonzero."""
+    return np.any(values != 0.0, axis=(1, 2, 3, 5))
+
+
+def _teodorescu(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+    """Volume potential of a block of fields ``(m, *grid.shape, 7)``.
+
+    Output slabs at or before each field's first active slab are exact
+    zeros.  A field whose first active slab is the last one (or that is
+    zero) is therefore all zeros and is not transformed.
+    """
+    g = ctx.domain.grid
+    active = _active_slabs(values)
+    first = np.where(active.any(axis=1), active.argmax(axis=1), g.nt)
+    out = np.zeros(values.shape)
+    run = np.flatnonzero(first < g.nt - 1)
+    if len(run):
+        out[run] = _volume_conv(ctx).apply(values[run])[:, 0]
+    out *= g.cell_volume
+    np.moveaxis(out, -2, 1)[np.arange(g.nt) <= first[:, None]] = 0.0
+    return out
 
 
 def teodorescu(u: Field, ctx: OperatorContext) -> Field:
@@ -275,12 +311,7 @@ def teodorescu(u: Field, ctx: OperatorContext) -> Field:
     """
     if u.grid != ctx.domain.grid:
         raise ValueError("field does not live on the context domain")
-    g = ctx.domain.grid
-    out = _volume_conv(ctx).apply(u.values)[0] * g.cell_volume
-    active = _active_slabs(u.values)
-    first = active[0] if len(active) else g.nt
-    out[..., :min(first + 1, g.nt), :] = 0.0
-    return Field(out, u.grid)
+    return Field(_teodorescu(u.values[None], ctx)[0], u.grid)
 
 
 def teodorescu_adjoint(w: Field, ctx: OperatorContext) -> Field:
@@ -293,7 +324,7 @@ def teodorescu_adjoint(w: Field, ctx: OperatorContext) -> Field:
         raise ValueError("field does not live on the context domain")
     g = ctx.domain.grid
     out = _volume_conv(ctx).apply_transpose(w.values[None]) * g.cell_volume
-    active = _active_slabs(w.values)
+    active = np.flatnonzero(_active_slabs(w.values[None])[0])
     if len(active):
         out[..., active[-1]:, :] = 0.0
     else:
@@ -373,25 +404,33 @@ def _check_boundary_data(bd: BoundaryData, ctx: OperatorContext):
         raise ValueError("boundary data does not match the context domain")
 
 
-def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
-    """Boundary potential: kernel times (conormal times density), weighted.
+def _cauchy(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+    """Boundary potential of a block of densities ``(m, n_boundary, 7)``.
 
-    A face family whose weighted density is exactly zero is skipped: its
-    convolution would add exact zeros.  A Bergman column lives on a single
-    family, so this saves all but one of the family convolutions there.
+    A face family is skipped for every density whose weighted values on it
+    are exactly zero: its convolution would add exact zeros.  A Bergman
+    column lives on a single family, so this saves all but one of the
+    family convolutions there.
     """
-    _check_boundary_data(bd, ctx)
     d = ctx.domain
-    sigma_bd = mul_arrays(d.b_conormal, bd.values) * d.b_weight[:, None]
-    out = np.zeros(d.grid.shape + (7,))
+    sigma_bd = mul_arrays(d.b_conormal, values) * d.b_weight[:, None]
+    out = np.zeros((len(values),) + d.grid.shape + (7,))
     for group in _face_groups(ctx):
-        sigma = sigma_bd[group.idx]
-        if not np.any(sigma):
+        sigma = sigma_bd[:, group.idx]
+        live = np.flatnonzero(np.any(sigma, axis=(1, 2)))
+        if not len(live):
             continue
-        density = np.zeros(group.conv.data_shape + (7,))
-        density[group.slot] = sigma
-        out += np.moveaxis(group.conv.apply(density), 0, group.axis)
-    return Field(out, d.grid)
+        density = np.zeros((len(live),) + group.conv.data_shape + (7,))
+        density[(slice(None),) + group.slot] = sigma[live]
+        out[live] += np.moveaxis(group.conv.apply(density), 1,
+                                 1 + group.axis)
+    return out
+
+
+def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
+    """Boundary potential: kernel times (conormal times density), weighted."""
+    _check_boundary_data(bd, ctx)
+    return Field(_cauchy(bd.values[None], ctx)[0], ctx.domain.grid)
 
 
 def cauchy_adjoint(w: Field, ctx: OperatorContext) -> BoundaryData:
@@ -409,14 +448,19 @@ def cauchy_adjoint(w: Field, ctx: OperatorContext) -> BoundaryData:
     return BoundaryData(out, d)
 
 
+def _trace(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+    """Face-centroid values ``(m, n_boundary, 7)`` of a block of fields."""
+    d = ctx.domain
+    near = (slice(None),) + tuple(d.b_near.T)
+    nxt = (slice(None),) + tuple(d.b_next.T)
+    return 1.5 * values[near] - 0.5 * values[nxt]
+
+
 def boundary_trace(u: Field, ctx: OperatorContext) -> BoundaryData:
     """Field values extrapolated to face centroids (one-sided, 2nd order)."""
-    d = ctx.domain
-    if u.grid != d.grid:
+    if u.grid != ctx.domain.grid:
         raise ValueError("field does not live on the context domain")
-    near = tuple(d.b_near.T)
-    nxt = tuple(d.b_next.T)
-    return BoundaryData(1.5 * u.values[near] - 0.5 * u.values[nxt], d)
+    return BoundaryData(_trace(u.values[None], ctx)[0], ctx.domain)
 
 
 def trace_adjoint(bd: BoundaryData, ctx: OperatorContext) -> Field:
@@ -439,6 +483,11 @@ class ConditioningError(RuntimeError):
 # Relative singular-value cutoff shared by every pseudo-inverse.
 _RCOND = 1e-10
 
+# Volume-convolution spectrum per block of probes in the dense-system
+# assembly: enough probes to amortize the per-call overhead of the operator
+# stack, few enough that the block's temporaries stay small.
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class _PseudoInverse:
@@ -455,25 +504,39 @@ class _PseudoInverse:
         return self.u @ ((self.vt @ z) / self.s)
 
 
-def _pseudo_inverse(apply, n: int) -> _PseudoInverse:
-    """Truncated SVD of the linear map ``apply`` on ``n >= 1`` unknowns.
+def _probe_block(ctx: OperatorContext) -> int:
+    """Probes per block when assembling a dense system on ``ctx``."""
+    return max(1, _BLOCK_BYTES // _volume_conv(ctx).k_hat.nbytes)
 
-    The system is assembled column by column from one-hot probes; the
-    singular values above ``_RCOND`` times the largest are kept.  The
-    factors are truncated by slicing: a boolean-mask copy would change
-    their memory layout, hence the BLAS path and the roundoff of every
-    solve.
+
+def _assemble(apply_block, n: int, block: int) -> np.ndarray:
+    """Dense matrix of a linear map on ``n`` unknowns, from one-hot probes.
+
+    ``apply_block`` maps a block of probes ``(m, n)`` to their columns
+    ``(m, rows)``; the probes go through it ``block`` at a time.
     """
-    probe = np.zeros(n)
     a = None
-    for j in range(n):
-        probe[:] = 0.0
-        probe[j] = 1.0
-        column = apply(probe)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        probes = np.zeros((stop - start, n))
+        probes[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        columns = apply_block(probes)
         if a is None:
-            a = np.zeros((len(column), n))
-        a[:, j] = column
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+            a = np.zeros((columns.shape[1], n))
+        a[:, start:stop] = columns.T
+    return a
+
+
+def _pseudo_inverse(apply_block, n: int, block: int) -> _PseudoInverse:
+    """Truncated SVD of the linear map ``apply_block`` on ``n >= 1`` unknowns.
+
+    The system is assembled by ``_assemble``; the singular values above
+    ``_RCOND`` times the largest are kept.  The factors are truncated by
+    slicing: a boolean-mask copy would change their memory layout, hence
+    the BLAS path and the roundoff of every solve.
+    """
+    u, s, vt = np.linalg.svd(_assemble(apply_block, n, block),
+                             full_matrices=False)
     if s[0] == 0.0:
         raise ConditioningError(
             "system vanished identically; no pseudo-inverse exists")
@@ -505,15 +568,25 @@ def _active_mask(ctx: OperatorContext) -> np.ndarray:
     return mask
 
 
-def _active_density(z: np.ndarray, ctx: OperatorContext) -> BoundaryData:
-    """Boundary density holding ``z`` on the active components, else 0."""
-    values = np.zeros((ctx.domain.n_boundary, 7))
-    values[_active_mask(ctx)] = z
-    return BoundaryData(values, ctx.domain)
+def _active_density(z: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+    """Boundary densities ``(m, n_boundary, 7)`` holding the rows of ``z``
+    on the active components, else 0."""
+    values = np.zeros((len(z), ctx.domain.n_boundary, 7))
+    values[:, _active_mask(ctx)] = z
+    return values
 
 
-def _compose_trace_volume(u: Field, ctx: OperatorContext) -> BoundaryData:
-    return boundary_trace(teodorescu(u, ctx), ctx)
+def _trace_volume(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+    """Flat traced volume potentials ``(m, rows)`` of a block of fields."""
+    v = _check_finite(_teodorescu(values, ctx))
+    return _trace(v, ctx).reshape(len(values), -1)
+
+
+def _bergman_columns(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
+    """Boundary system ``trace o volume o boundary`` on a block of active
+    densities ``(m, n_active)``."""
+    f = _check_finite(_cauchy(_active_density(z, ctx), ctx))
+    return _trace_volume(f, ctx)
 
 
 def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
@@ -525,11 +598,22 @@ def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
     projector exactly idempotent even when strict causality makes the
     system rank deficient.
     """
-    def apply(z):
-        f = cauchy_transform(_active_density(z, ctx), ctx)
-        return _compose_trace_volume(f, ctx).values.reshape(-1)
     return ctx._cached("bergman_factorization", lambda: _pseudo_inverse(
-        apply, int(np.sum(_active_mask(ctx)))))
+        partial(_bergman_columns, ctx), int(np.sum(_active_mask(ctx))),
+        _probe_block(ctx)))
+
+
+def _bergman_projection(values: np.ndarray,
+                        ctx: OperatorContext) -> np.ndarray:
+    """Bergman projection of a block of fields ``(m, *grid.shape, 7)``.
+
+    Each field is solved on its own (one GEMV per field): a block solve by
+    GEMM would round differently, and the box pressure amplifies a 1e-15
+    relative change in this projection to 2e-8.
+    """
+    fac = _bergman_factorization(ctx)
+    z = np.stack([fac.solve(b) for b in _trace_volume(values, ctx)])
+    return _check_finite(_cauchy(_active_density(z, ctx), ctx))
 
 
 def bergman_projection(u: Field, ctx: OperatorContext) -> Field:
@@ -539,9 +623,7 @@ def bergman_projection(u: Field, ctx: OperatorContext) -> Field:
     matches the traced volume potential of ``u``, then applies the boundary
     potential.
     """
-    fac = _bergman_factorization(ctx)
-    rhs = _compose_trace_volume(u, ctx).values.reshape(-1)
-    return cauchy_transform(_active_density(fac.solve(rhs), ctx), ctx)
+    return Field(_bergman_projection(u.values[None], ctx)[0], u.grid)
 
 
 def bergman_complement(u: Field, ctx: OperatorContext) -> Field:

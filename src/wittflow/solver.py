@@ -25,10 +25,12 @@ from functools import partial
 
 import numpy as np
 
-from .domain import Field, diff_field, discrete_grad, discrete_norm
-from .potentials import (OperatorContext, _pseudo_inverse,
-                         bergman_complement, bergman_projection_adjoint,
-                         teodorescu, teodorescu_adjoint)
+from .domain import (Field, _check_finite, _grad, diff_field, discrete_grad,
+                     discrete_norm)
+from .potentials import (OperatorContext, _bergman_projection, _probe_block,
+                         _pseudo_inverse, _teodorescu, bergman_complement,
+                         bergman_projection_adjoint, teodorescu,
+                         teodorescu_adjoint)
 
 __all__ = [
     "NavierStokesProblem",
@@ -124,15 +126,18 @@ def momentum_defect(u: Field, f: Field) -> Field:
 
 
 def _zero_mean(values: np.ndarray) -> np.ndarray:
-    return values - values.mean()
+    """Each row along the last axis minus its mean."""
+    return values - values.mean(axis=-1, keepdims=True)
 
 
 def _pressure_apply(ctx: OperatorContext, p_flat: np.ndarray) -> np.ndarray:
-    """Scalar system map p -> Re(Q T D p) with zero-mean gauge."""
+    """Scalar system map p -> Re(Q T D p) with zero-mean gauge, on a block
+    of flat pressures ``(m, n_cells)``."""
     grid = ctx.domain.grid
-    p = Field.from_scalar(_zero_mean(p_flat.reshape(grid.shape)), grid)
-    w = bergman_complement(teodorescu(discrete_grad(p), ctx), ctx)
-    return _zero_mean(w.scalar()).reshape(-1)
+    p = _check_finite(_zero_mean(p_flat)).reshape((-1,) + grid.shape)
+    v = _check_finite(_teodorescu(_check_finite(_grad(p, grid)), ctx))
+    w = _check_finite(v - _bergman_projection(v, ctx))
+    return _zero_mean(w[..., 0].reshape(len(p_flat), -1))
 
 
 def _pressure_solve(ctx: OperatorContext, g_field: Field) -> np.ndarray:
@@ -144,9 +149,10 @@ def _pressure_solve(ctx: OperatorContext, g_field: Field) -> np.ndarray:
     additive gauge mode.
     """
     w = bergman_complement(teodorescu(g_field, ctx), ctx)
-    b = _zero_mean(w.scalar()).reshape(-1)
+    b = _zero_mean(w.scalar().reshape(-1))
     fac = ctx._cached("pressure_system", lambda: _pseudo_inverse(
-        partial(_pressure_apply, ctx), ctx.domain.grid.n_cells))
+        partial(_pressure_apply, ctx), ctx.domain.grid.n_cells,
+        _probe_block(ctx)))
     return _zero_mean(fac.solve(b))
 
 
@@ -170,7 +176,7 @@ def solve_linear(prob: NavierStokesProblem):
     ctx = prob.ctx
     grid = ctx.domain.grid
     p_flat = _pressure_solve(ctx, prob.forcing)
-    p = Field.from_scalar(_zero_mean(p_flat.reshape(grid.shape)), grid)
+    p = Field.from_scalar(_zero_mean(p_flat).reshape(grid.shape), grid)
     u = _velocity_from(ctx, prob.forcing - discrete_grad(p))
     report = SolverReport(
         iterations=1,

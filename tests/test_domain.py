@@ -116,6 +116,19 @@ class TestDiscreteOperators:
         assert np.allclose(grad.vector()[..., 0][inner], want, rtol=1e-12)
         assert np.allclose(grad.vector()[..., 1:][inner], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("periodic", [(False,) * 3, (True, False, False),
+                                          (True,) * 3])
+    def test_gradient_equals_dirac_of_scalar(self, periodic):
+        # the gradient is the e-vector part of the Dirac operator applied
+        # to the scalar part alone, bit for bit
+        grid = SpaceTimeGrid(h=0.25, dt=0.125, dims=(4, 3, 5), nt=4,
+                             periodic=periodic)
+        rng = np.random.default_rng(9)
+        p = Field(rng.standard_normal(grid.shape + (7,)), grid)
+        dirac = discrete_spatial_dirac(Field.from_scalar(p.scalar(), grid))
+        want = Field.from_vector(dirac.vector(), grid)
+        assert discrete_grad(p).values.tobytes() == want.values.tobytes()
+
     def test_rotational_field(self):
         vec = np.stack([
             np.broadcast_to((-self.xs[..., 1])[..., None], self.grid.shape),

@@ -173,6 +173,25 @@ class TestVolumePotential:
         assert np.all(out.values[..., :3, :] == 0.0)
         assert np.any(out.values[..., 3, :] != 0.0)
 
+    def test_inert_slabs_skip_the_transform(self, monkeypatch):
+        # a field active only in the last slab has an all-zero volume
+        # potential, which comes back as exact zeros without running the
+        # convolution
+        from wittflow import potentials
+        ctx = box_ctx(n=3, nt=4)
+        g = ctx.domain.grid
+        potentials._volume_conv(ctx)
+
+        def refuse(*args):
+            raise AssertionError("convolution ran on an inert field")
+        monkeypatch.setattr(potentials._Convolution, "apply", refuse)
+        vals = np.zeros(g.shape + (7,))
+        vals[..., -1, :] = np.random.default_rng(13).standard_normal(
+            g.dims + (7,))
+        out = teodorescu(Field(vals, g), ctx).values
+        assert np.array_equal(out, np.zeros_like(out))
+        assert not np.signbit(out).any()
+
     def test_translation_equivariance_on_quotient(self):
         ctx = torus_ctx(n=4, nt=4)
         rng = np.random.default_rng(4)
@@ -380,7 +399,8 @@ class TestBergman:
         rng = np.random.default_rng(13)
         weights = rng.standard_normal(min(len(fac.s), 20))
         z = fac.vt[:len(weights)].T @ weights
-        w = cauchy_transform(_active_density(z, ctx), ctx)
+        bd = BoundaryData(_active_density(z[None], ctx)[0], ctx.domain)
+        w = cauchy_transform(bd, ctx)
         pw = bergman_projection(w, ctx)
         err = discrete_norm(pw - w, "L2") / discrete_norm(w, "L2")
         assert err < 1e-8
@@ -410,6 +430,70 @@ class TestBergman:
         assert _bergman_factorization(ctx) is fac
 
 
+BLOCK_GEOMETRIES = {
+    "box": lambda: box_ctx(n=3, nt=3),
+    "cylinder_a": lambda: cylinder_ctx(flags=(True,)),
+    "torus_p": lambda: torus_ctx(n=3, nt=4),
+    "torus_a": lambda: torus_ctx(n=3, nt=4, flags=(True, True, True)),
+}
+
+
+class TestBlocks:
+    """Block cores against the one-probe reference in ``one_probe``."""
+
+    @pytest.mark.parametrize("name", ["box", "torus_p", "torus_a"])
+    def test_batched_convolution_matches_one_probe(self, name):
+        # probes with different live components share one call
+        import one_probe
+        from wittflow.potentials import _face_groups, _volume_conv
+        ctx = BLOCK_GEOMETRIES[name]()
+        rng = np.random.default_rng(15)
+        for conv in [_volume_conv(ctx)] + [
+                grp.conv for grp in _face_groups(ctx)]:
+            shape = conv.data_shape + (7,)
+            block = np.zeros((6,) + shape)
+            block[0][..., [1, 5]] = rng.standard_normal(shape[:-1] + (2,))
+            block[1] = rng.standard_normal(shape)
+            block[2][(1,) * len(conv.data_shape) + (3,)] = 1.0
+            block[4][..., [1, 5]] = rng.standard_normal(shape[:-1] + (2,))
+            block[5][..., 6] = rng.standard_normal(shape[:-1])
+            out = conv.apply(block)
+            assert out.shape == (6, conv.k_hat.shape[1]) + shape
+            for i in range(len(block)):
+                want = one_probe.dense_apply(conv, block[i])
+                assert out[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_GEOMETRIES))
+    def test_field_operators_match_one_probe(self, name):
+        import one_probe
+        ctx = BLOCK_GEOMETRIES[name]()
+        d = ctx.domain
+        rng = np.random.default_rng(16)
+        u = rng.standard_normal(d.grid.shape + (7,))
+        u[..., 0, :] = 0.0
+        bd = rng.standard_normal((d.n_boundary, 7))
+        assert teodorescu(Field(u, d.grid), ctx).values.tobytes() \
+            == one_probe.teodorescu(u, ctx).tobytes()
+        assert cauchy_transform(BoundaryData(bd, d), ctx).values.tobytes() \
+            == one_probe.cauchy(bd, ctx).tobytes()
+        assert boundary_trace(Field(u, d.grid), ctx).values.tobytes() \
+            == one_probe.trace(u, ctx).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_GEOMETRIES))
+    def test_bergman_system_matches_column_loop(self, name):
+        import one_probe
+        from functools import partial
+        from wittflow.potentials import (_active_mask, _assemble,
+                                         _bergman_columns)
+        ctx = BLOCK_GEOMETRIES[name]()
+        n = int(np.sum(_active_mask(ctx)))
+        want = np.stack([one_probe.bergman_column(ctx, e)
+                         for e in np.eye(n)], axis=1)
+        for block in (1, 3, n + 4):
+            a = _assemble(partial(_bergman_columns, ctx), n, block)
+            assert a.tobytes() == want.tobytes()
+
+
 class TestPseudoInverse:
     def test_keeps_singular_values_above_relative_cutoff(self):
         from wittflow.potentials import _RCOND, _pseudo_inverse
@@ -423,10 +507,11 @@ class TestPseudoInverse:
 
         def apply(x):
             calls.append(x.copy())
-            return a @ x
-        fac = _pseudo_inverse(apply, 6)
-        # one one-hot probe per unknown
-        assert np.array_equal(np.array(calls), np.eye(6))
+            return x @ a.T
+        fac = _pseudo_inverse(apply, 6, 4)
+        # one one-hot probe per unknown, in blocks of at most 4
+        assert [len(x) for x in calls] == [4, 2]
+        assert np.array_equal(np.concatenate(calls), np.eye(6))
         assert np.allclose(fac.s, sigma[:4], rtol=1e-6)
         assert fac.u.shape == (9, 4) and fac.vt.shape == (4, 6)
         # inverts the kept part, in both directions
@@ -438,7 +523,7 @@ class TestPseudoInverse:
     def test_zero_operator_raises(self):
         from wittflow.potentials import ConditioningError, _pseudo_inverse
         with pytest.raises(ConditioningError):
-            _pseudo_inverse(lambda x: np.zeros(4), 3)
+            _pseudo_inverse(lambda x: np.zeros((len(x), 4)), 3, 2)
 
 
 class TestContextValidation:

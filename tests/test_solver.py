@@ -190,15 +190,41 @@ class TestLinearSolve:
         prob = NavierStokesProblem(ctx, f)
         sweeps = []
 
-        def counted(apply, n):
+        def counted(apply, n, block):
             sweeps.append(n)
-            return potentials._pseudo_inverse(apply, n)
+            return potentials._pseudo_inverse(apply, n, block)
         monkeypatch.setattr(solver, "_pseudo_inverse", counted)
         solve_linear(prob)
         assert sweeps == [ctx.domain.grid.n_cells]
         fixed_point_solve(prob, max_iter=2, tol=0.0, constants=(1.0, 1.0))
         solve_linear(prob)
         assert sweeps == [ctx.domain.grid.n_cells]
+
+    @pytest.mark.parametrize("name", ["box", "cylinder_a", "torus_p",
+                                      "torus_a"])
+    def test_pressure_system_matches_column_loop(self, name):
+        # the block assembly gives the one-probe reference columns
+        import one_probe
+        from functools import partial
+        from wittflow.domain import build_box_domain
+        from wittflow.potentials import _assemble
+        from wittflow.solver import _pressure_apply
+        if name == "box":
+            d = build_box_domain((1.0,) * 3, 0.5, 1.0 / 3, 0.5 / 3)
+            ctx = OperatorContext(d, KernelParams(1.0))
+        else:
+            flags = {"cylinder_a": (True,), "torus_p": (False,) * 3,
+                     "torus_a": (True,) * 3}[name]
+            spec = LatticeSpec(len(flags), flags)
+            d = build_quotient_domain(spec, [1.0] * (3 - spec.rank), 0.5,
+                                      1.0 / 3, 0.5 / 4)
+            ctx = OperatorContext(d, KernelParams(1.0), spec)
+        n = ctx.domain.grid.n_cells
+        want = np.stack([one_probe.pressure_column(ctx, e)
+                         for e in np.eye(n)], axis=1)
+        for block in (1, 3, n + 4):
+            a = _assemble(partial(_pressure_apply, ctx), n, block)
+            assert a.tobytes() == want.tobytes()
 
     def test_forcing_must_be_vector(self, small_ctx):
         bad = Field.zeros(small_ctx.domain.grid)
