@@ -22,10 +22,9 @@ _EXPORTS = {
                 "factorization_residual"),
     "lattice": ("LatticeSpec", "LatticeShell", "shell_points", "sign_of",
                 "tail_bound", "periodized_fundamental_solution"),
-    "domain": ("SpaceTimeGrid", "Field", "BoundaryElement", "Domain",
-               "build_box_domain", "build_quotient_domain",
-               "discrete_spatial_dirac", "discrete_div", "discrete_grad",
-               "discrete_norm"),
+    "domain": ("SpaceTimeGrid", "Field", "Domain", "build_box_domain",
+               "build_quotient_domain", "discrete_spatial_dirac",
+               "discrete_div", "discrete_grad", "discrete_norm"),
     "potentials": ("OperatorContext", "BoundaryData", "teodorescu",
                    "cauchy_transform", "boundary_trace", "bergman_projection",
                    "bergman_complement"),

@@ -23,6 +23,12 @@ class ConfigError(ValueError):
 
 _REQUIRED = ("domain.kind", "grid.h", "grid.dt", "time.horizon", "kernel.k")
 
+# Every key load_config reads; any other key is a configuration error.
+_KEYS = _REQUIRED + (
+    "domain.extent", "lattice.rank", "lattice.anti_flags", "forcing.preset",
+    "forcing.csv", "forcing.scale", "solver.mode", "solver.max_iter",
+    "solver.tol", "quad.tol", "output.dir")
+
 _PRESETS = ("zero", "vector_bump", "divergence_free", "manufactured")
 
 
@@ -87,10 +93,8 @@ def _parse_flags(text: str, rank: int) -> tuple[bool, ...]:
     return tuple(_parse_bool(p) for p in parts) or (False,) * rank
 
 
-def _get(entries, key, path, cast=str, default=None, required=False):
+def _get(entries, key, path, cast=str, default=None):
     if key not in entries:
-        if required:
-            raise ConfigError(f"{path}: missing mandatory key {key!r}")
         return default
     value, lineno = entries[key]
     try:
@@ -102,11 +106,14 @@ def _get(entries, key, path, cast=str, default=None, required=False):
 
 def load_config(path: str) -> RunConfig:
     entries = _parse_lines(path)
+    for key, (_, lineno) in entries.items():
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     for key in _REQUIRED:
         if key not in entries:
             raise ConfigError(f"{path}: missing mandatory key {key!r}")
 
-    kind = _get(entries, "domain.kind", path, required=True)
+    kind = _get(entries, "domain.kind", path)
     if kind not in ("box", "cylinder", "torus"):
         lineno = entries["domain.kind"][1]
         raise ConfigError(f"{path}:{lineno}: domain.kind must be box, "
@@ -166,10 +173,10 @@ def load_config(path: str) -> RunConfig:
         extent=extent,
         rank=rank,
         anti_flags=anti_flags,
-        h=_get(entries, "grid.h", path, float, required=True),
-        dt=_get(entries, "grid.dt", path, float, required=True),
-        horizon=_get(entries, "time.horizon", path, float, required=True),
-        k=_get(entries, "kernel.k", path, float, required=True),
+        h=_get(entries, "grid.h", path, float),
+        dt=_get(entries, "grid.dt", path, float),
+        horizon=_get(entries, "time.horizon", path, float),
+        k=_get(entries, "kernel.k", path, float),
         forcing_preset=preset,
         forcing_csv=forcing_csv,
         forcing_scale=_get(entries, "forcing.scale", path, float,
@@ -199,7 +206,7 @@ def _build_context(cfg: RunConfig):
         domain = build_quotient_domain(spec, free, cfg.horizon, cfg.h,
                                        cfg.dt)
     return OperatorContext(domain, KernelParams(cfg.k), spec,
-                           quad_tol=cfg.quad_tol), spec
+                           quad_tol=cfg.quad_tol)
 
 
 def _build_forcing(cfg: RunConfig, ctx):
@@ -237,7 +244,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.output or cfg.output_dir)
     verify.ensure_convention()
-    ctx, _ = _build_context(cfg)
+    ctx = _build_context(cfg)
     forcing = _build_forcing(cfg, ctx)
     prob = NavierStokesProblem(ctx, forcing)
 
@@ -271,6 +278,8 @@ def cmd_solve(args) -> int:
                 ["iter,residual"] + [f"{i + 1},{r:.17g}" for i, r in
                                      enumerate(report.residual_history)])
     _write_text(out_dir / "summary.txt", [report.summary()])
+    for warning in report.warnings:
+        print(f"warning: {warning}")
     print(report.summary())
     verdict = ("admissible" if report.admissible
                else "not admissible" if report.admissible is not None
@@ -287,7 +296,7 @@ def cmd_constants(args) -> int:
     from .solver import convergence_check, estimate_constants
     cfg = load_config(args.config)
     verify.ensure_convention()
-    ctx, _ = _build_context(cfg)
+    ctx = _build_context(cfg)
     forcing = _build_forcing(cfg, ctx)
     c1, c2 = estimate_constants(ctx, seed=args.seed)
     f_norm = discrete_norm(forcing, "L2")

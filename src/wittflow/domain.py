@@ -10,7 +10,7 @@ periodized axes have unit pitch and contribute no lateral boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .witt_algebra import mul_arrays
 __all__ = [
     "SpaceTimeGrid",
     "Field",
-    "BoundaryElement",
     "Domain",
     "build_box_domain",
     "build_quotient_domain",
@@ -161,25 +160,12 @@ class Field:
         return Field(-self.values, self.grid)
 
 
-@dataclass(frozen=True)
-class BoundaryElement:
-    """Weighted face centroid with its conormal algebra element."""
-
-    position: tuple[float, float, float]
-    time: float
-    weight: float
-    conormal: np.ndarray
-    kind: str          # "lateral", "cap_initial" or "cap_terminal"
-    axis: int          # offset axis (0..2 lateral, 3 caps)
-    side: int          # 0 = lower face, 1 = upper face
-
-
 @dataclass
 class Domain:
-    """Grid plus interior index set and weighted boundary decomposition.
+    """Grid plus weighted boundary decomposition.
 
-    Interior nodes are all cell centers.  Boundary data is stored in flat
-    arrays (one row per element); ``boundary`` materializes the element view.
+    Every cell center is a collocation node.  Boundary data is stored in
+    flat arrays, one row per element.
     """
 
     grid: SpaceTimeGrid
@@ -194,30 +180,10 @@ class Domain:
     # value at centroid ~ 1.5 * field[near] - 0.5 * field[next].
     b_near: np.ndarray          # (nb, 4) cell multi-indices
     b_next: np.ndarray          # (nb, 4)
-    _boundary_cache: list = dataclass_field(default=None, repr=False)
-
-    _KIND_NAMES = ("lateral", "cap_initial", "cap_terminal")
-
-    @property
-    def n_interior(self) -> int:
-        return self.grid.n_cells
 
     @property
     def n_boundary(self) -> int:
         return len(self.b_weight)
-
-    @property
-    def boundary(self) -> list[BoundaryElement]:
-        if self._boundary_cache is None:
-            self._boundary_cache = [
-                BoundaryElement(tuple(self.b_position[i]),
-                                float(self.b_time[i]),
-                                float(self.b_weight[i]),
-                                self.b_conormal[i],
-                                self._KIND_NAMES[self.b_kind[i]],
-                                int(self.b_axis[i]), int(self.b_side[i]))
-                for i in range(self.n_boundary)]
-        return self._boundary_cache
 
     def lateral_area(self) -> float:
         return float(np.sum(self.b_weight[self.b_kind == 0]))
@@ -237,10 +203,24 @@ def _cells_to_count(extent: float, h: float, label: str) -> int:
 def _build_domain(grid: SpaceTimeGrid) -> Domain:
     dims, nt = grid.dims, grid.nt
     h, dt = grid.h, grid.dt
-    positions, times, weights, conormals = [], [], [], []
-    kinds, axes, sides, nears, nexts = [], [], [], [], []
+    columns: dict[str, list[np.ndarray]] = {}
     centers = [grid.axis_centers(d) for d in range(3)]
     tc = grid.axis_centers(3)
+
+    def add_family(position, time, weight, conormal, kind, axis, side, near,
+                   nxt):
+        """Append elements sharing time, weight, conormal and labels."""
+        n = len(position)
+        for name, value in (
+                ("b_position", position),
+                ("b_time", np.full(n, time)),
+                ("b_weight", np.full(n, weight)),
+                ("b_conormal", np.tile(conormal, (n, 1))),
+                ("b_kind", np.full(n, kind, dtype=np.int64)),
+                ("b_axis", np.full(n, axis, dtype=np.int64)),
+                ("b_side", np.full(n, side, dtype=np.int64)),
+                ("b_near", near), ("b_next", nxt)):
+            columns.setdefault(name, []).append(value)
 
     for axis in range(3):
         if grid.periodic[axis]:
@@ -258,32 +238,23 @@ def _build_domain(grid: SpaceTimeGrid) -> Domain:
             cell_along = 0 if side == 0 else dims[axis] - 1
             next_along = 1 if side == 0 else dims[axis] - 2
             for j in range(nt):
-                n_face = len(ia)
-                pos = np.zeros((n_face, 3))
+                pos = np.zeros((len(ia), 3))
                 pos[:, axis] = x_face
                 pos[:, across[0]] = centers[across[0]][ia]
                 pos[:, across[1]] = centers[across[1]][ib]
-                positions.append(pos)
-                times.append(np.full(n_face, tc[j]))
-                weights.append(np.full(n_face, h * h * dt))
-                conormals.append(np.tile(normal, (n_face, 1)))
-                kinds.append(np.zeros(n_face, dtype=np.int64))
-                axes.append(np.full(n_face, axis, dtype=np.int64))
-                sides.append(np.full(n_face, side, dtype=np.int64))
-                near = np.zeros((n_face, 4), dtype=np.int64)
+                near = np.zeros((len(ia), 4), dtype=np.int64)
                 near[:, axis] = cell_along
                 near[:, across[0]] = ia
                 near[:, across[1]] = ib
                 near[:, 3] = j
                 nxt = near.copy()
                 nxt[:, axis] = next_along
-                nears.append(near)
-                nexts.append(nxt)
+                add_family(pos, tc[j], h * h * dt, normal, 0, axis, side,
+                           near, nxt)
 
     # Temporal caps: one element per spatial cell, at t0 and t0 + horizon.
     i1, i2, i3 = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
     i1, i2, i3 = i1.ravel(), i2.ravel(), i3.ravel()
-    n_cap = len(i1)
     cap_pos = np.stack([centers[0][i1], centers[1][i2], centers[2][i3]],
                        axis=-1)
     for side, t_face, f_sign, kind in (
@@ -291,32 +262,16 @@ def _build_domain(grid: SpaceTimeGrid) -> Domain:
             (1, grid.t0 + grid.horizon, 1.0, 2)):
         conormal = np.zeros(7)
         conormal[4] = f_sign
-        positions.append(cap_pos)
-        times.append(np.full(n_cap, t_face))
-        weights.append(np.full(n_cap, h ** 3))
-        conormals.append(np.tile(conormal, (n_cap, 1)))
-        kinds.append(np.full(n_cap, kind, dtype=np.int64))
-        axes.append(np.full(n_cap, 3, dtype=np.int64))
-        sides.append(np.full(n_cap, side, dtype=np.int64))
         near = np.stack([i1, i2, i3,
-                         np.full(n_cap, 0 if side == 0 else nt - 1)], axis=-1)
+                         np.full(len(i1), 0 if side == 0 else nt - 1)],
+                        axis=-1)
         nxt = near.copy()
         nxt[:, 3] = 1 if side == 0 else nt - 2
-        nears.append(near)
-        nexts.append(nxt)
+        add_family(cap_pos, t_face, h ** 3, conormal, kind, 3, side, near,
+                   nxt)
 
-    return Domain(
-        grid=grid,
-        b_position=np.concatenate(positions),
-        b_time=np.concatenate(times),
-        b_weight=np.concatenate(weights),
-        b_conormal=np.concatenate(conormals),
-        b_kind=np.concatenate(kinds),
-        b_axis=np.concatenate(axes),
-        b_side=np.concatenate(sides),
-        b_near=np.concatenate(nears),
-        b_next=np.concatenate(nexts),
-    )
+    return Domain(grid=grid, **{name: np.concatenate(parts)
+                                for name, parts in columns.items()})
 
 
 def build_box_domain(extent, horizon: float, h: float, dt: float) -> Domain:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Field, SpaceTimeGrid, diff_field
+from .domain import Field, SpaceTimeGrid, diff_field, discrete_spatial_dirac
 from .witt_algebra import mul_arrays
 
 __all__ = [
@@ -205,20 +205,14 @@ def dual_fundamental_solution(p: SpaceTimePoint) -> np.ndarray:
                                       dual=True)
 
 
-_E_BASIS = np.eye(7)[1:4]       # e1, e2, e3 coefficient rows
 _F_BASIS = np.eye(7)[4]
 _FD_BASIS = np.eye(7)[5]
 
 
 def _first_order_terms(u: Field) -> np.ndarray:
     """sum_j ej * d_j u + f * d_t u for a sampled field, left-multiplied."""
-    g = u.grid
-    out = np.zeros_like(u.values)
-    for axis in range(3):
-        du = diff_field(u.values, axis, g.spacing(axis), g.periodic[axis],
-                        edge_order=2)
-        out += mul_arrays(_E_BASIS[axis], du)
-    dt_u = diff_field(u.values, 3, g.dt, False, edge_order=1)
+    out = discrete_spatial_dirac(u).values
+    dt_u = diff_field(u.values, 3, u.grid.dt, False, edge_order=1)
     out += mul_arrays(_F_BASIS, dt_u)
     return out
 

@@ -52,10 +52,6 @@ class LatticeSpec:
                 f"need {self.rank} antiperiodicity flags, got "
                 f"{len(self.anti_flags)}")
 
-    @property
-    def periodic_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.rank))
-
 
 @dataclass(frozen=True)
 class LatticeShell:
@@ -86,15 +82,11 @@ def shell_points(m: int, spec: LatticeSpec) -> LatticeShell:
 
 def sign_of(omega, spec: LatticeSpec) -> int:
     """Spin-structure weight (-1)^(sum of flagged coordinates)."""
-    omega = np.asarray(omega, dtype=np.int64)
-    total = 0
-    for j, flag in enumerate(spec.anti_flags):
-        if flag:
-            total += int(omega[j])
-    return -1 if total % 2 else 1
+    return int(_signs_of(np.asarray(omega, dtype=np.int64)[None], spec)[0])
 
 
 def _signs_of(points: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """Spin-structure weights (+-1.0) of lattice points ``(n, 3)``."""
     total = np.zeros(len(points), dtype=np.int64)
     for j, flag in enumerate(spec.anti_flags):
         if flag:

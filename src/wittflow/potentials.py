@@ -106,26 +106,28 @@ class OperatorContext:
 # Offset geometry
 # ---------------------------------------------------------------------------
 
-def _axis_layout(n: int, periodic: bool, anti: bool):
-    """(fft size, offset values in cell units) for one spatial axis.
+def _axis_layout(n: int, periodic: bool, anti: bool) -> np.ndarray:
+    """Offset values in cell units for one axis, in FFT order.
 
-    Free axes store offsets -(n-1)..(n-1) in wrapped (mod N) order; periodic
-    axes use the natural 0..n-1 circle; antiperiodic axes double the circle.
+    Free axes store offsets -(n-1)..(n-1) in wrapped (mod 2n-1) order;
+    periodic axes use the natural 0..n-1 circle; antiperiodic axes double
+    the circle.
     """
     if periodic:
-        size = 2 * n if anti else n
-        return size, np.arange(size)
+        return np.arange(2 * n if anti else n)
     size = 2 * n - 1
     offs = np.arange(size)
-    offs = np.where(offs < n, offs, offs - size)
-    return size, offs
+    return np.where(offs < n, offs, offs - size)
 
 
-def _layouts(ctx: OperatorContext):
+def _offset_ladders(ctx: OperatorContext):
+    """Physical offsets of the kernel tables: a list of the three spatial
+    ladders, and the time ladder."""
     g = ctx.domain.grid
     flags = ctx.lattice.anti_flags + (False,) * (3 - ctx.lattice.rank)
-    return [_axis_layout(g.dims[d], g.periodic[d], flags[d])
-            for d in range(3)]
+    xo = [_axis_layout(g.dims[d], g.periodic[d], flags[d]) * g.h
+          for d in range(3)]
+    return xo, _axis_layout(g.nt, False, False) * g.dt
 
 
 def _eval_kernel_grid(ctx: OperatorContext, xo: list[np.ndarray],
@@ -189,7 +191,6 @@ class _Convolution:
         self.fft_shape = table.shape[1:-1]
         self.k_hat = np.fft.rfftn(np.moveaxis(table, -1, 0),
                                   s=self.fft_shape, axes=self._axes(1))
-        self.k_hat_conj = np.conj(self.k_hat)
         live = np.any(table, axis=tuple(range(table.ndim - 1)))
         # (a, b) -> [(c, np.add or np.subtract)] for C[a, b, c] = +-1
         self.pairs: dict = {}
@@ -260,21 +261,17 @@ class _Convolution:
         r_hat = np.zeros((7,) + w_hat.shape[2:], dtype=complex)
         prod = np.empty(w_hat.shape[2:], dtype=complex)
         for (a, b), outs in self.pairs.items():
+            k_conj = np.conj(self.k_hat[a])
             for c, op in outs:
-                np.einsum("l...,l...->...", self.k_hat_conj[a], w_hat[c],
-                          out=prod)
+                np.einsum("l...,l...->...", k_conj, w_hat[c], out=prod)
                 op(r_hat[b], prod, out=r_hat[b])
         return self._crop(r_hat, 0)
 
 
 def _volume_conv(ctx: OperatorContext) -> _Convolution:
     def build():
-        g = ctx.domain.grid
-        lay = _layouts(ctx)
-        _, t_off = _axis_layout(g.nt, False, False)
-        xo = [lay[d][1] * g.h for d in range(3)]
-        table = _eval_kernel_grid(ctx, xo, t_off * g.dt)
-        return _Convolution(table[None], g.shape)
+        table = _eval_kernel_grid(ctx, *_offset_ladders(ctx))
+        return _Convolution(table[None], ctx.domain.grid.shape)
     return ctx._cached("volume_conv", build)
 
 
@@ -365,9 +362,7 @@ def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
     def build():
         d = ctx.domain
         g = d.grid
-        lay = _layouts(ctx)
-        xo = [lay[a][1] * g.h for a in range(3)]
-        _, t_off = _axis_layout(g.nt, False, False)
+        xo, t_off = _offset_ladders(ctx)
         groups = []
         for axis in range(3):
             if g.periodic[axis]:
@@ -382,7 +377,7 @@ def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
                 shift = 0.5 if side == 0 else 0.5 - n_axis
                 xo_face = list(xo)
                 xo_face[axis] = (np.arange(n_axis) + shift) * g.h
-                table = _eval_kernel_grid(ctx, xo_face, t_off * g.dt)
+                table = _eval_kernel_grid(ctx, xo_face, t_off)
                 shape = (g.dims[across[0]], g.dims[across[1]], g.nt)
                 # moving the face axis first keeps the across axes ascending
                 conv = _Convolution(np.moveaxis(table, axis, 0), shape)
@@ -614,6 +609,14 @@ def _bergman_projection(values: np.ndarray,
     fac = _bergman_factorization(ctx)
     z = np.stack([fac.solve(b) for b in _trace_volume(values, ctx)])
     return _check_finite(_cauchy(_active_density(z, ctx), ctx))
+
+
+def _complement_volume(values: np.ndarray,
+                       ctx: OperatorContext) -> np.ndarray:
+    """Bergman complement of the volume potential, Q T, on a block of
+    fields ``(m, *grid.shape, 7)``."""
+    v = _check_finite(_teodorescu(values, ctx))
+    return _check_finite(v - _bergman_projection(v, ctx))
 
 
 def bergman_projection(u: Field, ctx: OperatorContext) -> Field:

@@ -25,12 +25,11 @@ from functools import partial
 
 import numpy as np
 
-from .domain import (Field, _check_finite, _grad, diff_field, discrete_grad,
-                     discrete_norm)
-from .potentials import (OperatorContext, _bergman_projection, _probe_block,
-                         _pseudo_inverse, _teodorescu, bergman_complement,
-                         bergman_projection_adjoint, teodorescu,
-                         teodorescu_adjoint)
+from .domain import (Field, _check_finite, _forward_gap_diffs, _grad,
+                     diff_field, discrete_grad, discrete_norm)
+from .potentials import (OperatorContext, _complement_volume, _probe_block,
+                         _pseudo_inverse, bergman_projection_adjoint,
+                         teodorescu, teodorescu_adjoint)
 
 __all__ = [
     "NavierStokesProblem",
@@ -135,9 +134,14 @@ def _pressure_apply(ctx: OperatorContext, p_flat: np.ndarray) -> np.ndarray:
     of flat pressures ``(m, n_cells)``."""
     grid = ctx.domain.grid
     p = _check_finite(_zero_mean(p_flat)).reshape((-1,) + grid.shape)
-    v = _check_finite(_teodorescu(_check_finite(_grad(p, grid)), ctx))
-    w = _check_finite(v - _bergman_projection(v, ctx))
+    w = _complement_volume(_check_finite(_grad(p, grid)), ctx)
     return _zero_mean(w[..., 0].reshape(len(p_flat), -1))
+
+
+def _pressure_rhs(ctx: OperatorContext, g_field: Field) -> np.ndarray:
+    """Flat right side Re(Q T g) of the pressure system, zero-mean."""
+    w = _complement_volume(g_field.values[None], ctx)
+    return _zero_mean(w[0, ..., 0].reshape(-1))
 
 
 def _pressure_solve(ctx: OperatorContext, g_field: Field) -> np.ndarray:
@@ -148,12 +152,10 @@ def _pressure_solve(ctx: OperatorContext, g_field: Field) -> np.ndarray:
     context and solved by truncated least squares, which also fixes the
     additive gauge mode.
     """
-    w = bergman_complement(teodorescu(g_field, ctx), ctx)
-    b = _zero_mean(w.scalar().reshape(-1))
     fac = ctx._cached("pressure_system", lambda: _pseudo_inverse(
         partial(_pressure_apply, ctx), ctx.domain.grid.n_cells,
         _probe_block(ctx)))
-    return _zero_mean(fac.solve(b))
+    return _zero_mean(fac.solve(_pressure_rhs(ctx, g_field)))
 
 
 def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
@@ -218,9 +220,7 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
     p = Field.zeros(grid)
     converged = False
     growths = 0
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         rhs = prob.forcing - convective_term(u)
         p_flat = _pressure_solve(ctx, rhs)
         p = Field.from_scalar(p_flat.reshape(grid.shape), grid)
@@ -236,20 +236,20 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
             converged = True
             break
         if growths >= 3:
-            report = _diagnosed_report(iterations, history, c1, c2,
-                                       prob.forcing, u0, False, warnings)
+            report = _diagnosed_report(history, c1, c2, prob.forcing, u0,
+                                       False, warnings)
             raise SolverDivergence(
                 "fixed-point residual grew three consecutive iterations",
                 report)
 
     if not converged:
         warnings.append("iteration cap reached before the tolerance")
-    report = _diagnosed_report(iterations, history, c1, c2, prob.forcing,
-                               u0, converged, warnings)
+    report = _diagnosed_report(history, c1, c2, prob.forcing, u0,
+                               converged, warnings)
     return u, p, report
 
 
-def _diagnosed_report(iterations, history, c1, c2, forcing, u0, converged,
+def _diagnosed_report(history, c1, c2, forcing, u0, converged,
                       warnings) -> SolverReport:
     f_norm = discrete_norm(forcing, "L2")
     u0_norm = 0.0 if u0 is None else discrete_norm(u0, "W11")
@@ -257,7 +257,7 @@ def _diagnosed_report(iterations, history, c1, c2, forcing, u0, converged,
     if not converged:
         admissible = False
     return SolverReport(
-        iterations=iterations,
+        iterations=len(history),
         residual_history=list(history),
         C1=c1, C2=c2, W=w_const, L=l_const,
         admissible=admissible,
@@ -273,27 +273,24 @@ def _diagnosed_report(iterations, history, c1, c2, forcing, u0, converged,
 def _sobolev_gram(u: Field) -> Field:
     """Gram operator of the first-order Sobolev inner product."""
     g = u.grid
-    vol = g.cell_volume
     out = u.values.copy()
-    for axis in range(4):
+    for axis, d in enumerate(_forward_gap_diffs(u)):
         spacing = g.spacing(axis)
-        periodic = axis < 3 and g.periodic[axis]
-        if periodic:
-            d = (np.roll(u.values, -1, axis) - u.values) / spacing
+        if axis < 3 and g.periodic[axis]:
             out += (np.roll(d, 1, axis) - d) / spacing
         else:
-            d = np.diff(u.values, axis=axis) / spacing
             pad = [(0, 0)] * u.values.ndim
             pad[axis] = (1, 0)
             lo = np.pad(d, pad)
             pad[axis] = (0, 1)
             hi = np.pad(d, pad)
             out += (lo - hi) / spacing
-    return Field(out * vol, g)
+    return Field(out * g.cell_volume, g)
 
 
 def _composite(ctx: OperatorContext, v: Field) -> Field:
-    return teodorescu(bergman_complement(teodorescu(v, ctx), ctx), ctx)
+    w = _complement_volume(v.values[None], ctx)[0]
+    return teodorescu(Field(w, v.grid), ctx)
 
 
 def _composite_transpose(ctx: OperatorContext, w: Field) -> Field:
@@ -360,6 +357,11 @@ def estimate_constants(ctx: OperatorContext, seed: int = 0,
     return c1, c2
 
 
+def _forcing_bound(c1: float, c2: float) -> float:
+    """Largest forcing L2 norm the smallness condition admits."""
+    return 1.0 / (16.0 * c1 * c1 * c2)
+
+
 def convergence_check(c1: float, c2: float, f_norm: float, u0_norm: float):
     """Closed-form admissibility verdict for the fixed-point iteration.
 
@@ -371,8 +373,7 @@ def convergence_check(c1: float, c2: float, f_norm: float, u0_norm: float):
         raise ValueError("constants must be positive")
     if f_norm < 0 or u0_norm < 0:
         raise ValueError("norms must be nonnegative")
-    f_bound = 1.0 / (16.0 * c1 * c1 * c2)
-    if f_norm > f_bound:
+    if f_norm > _forcing_bound(c1, c2):
         return False, None, None
     w = float(np.sqrt(max(1.0 / (16.0 * c1 * c1 * c2 * c2)
                           - f_norm / c2, 0.0)))

@@ -583,16 +583,16 @@ def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
     scaled to ``load_factor`` times the closed-form smallness bound for the
     measured constants.
     """
-    from .solver import estimate_constants
+    from .solver import _forcing_bound, estimate_constants
     ensure_convention()
     lattice = LatticeSpec(3, (False, False, False))
     domain = build_quotient_domain(lattice, [], horizon, 1.0 / n,
                                    horizon / nt)
     ctx = OperatorContext(domain, KernelParams(k), lattice)
     c1, c2 = estimate_constants(ctx, seed=seed)
-    bound = 1.0 / (16.0 * c1 * c1 * c2)
     base = vector_bump_field(domain.grid)
-    scale = load_factor * bound / discrete_norm(base, "L2")
+    scale = (load_factor * _forcing_bound(c1, c2)
+             / discrete_norm(base, "L2"))
     return ctx, base * scale, (c1, c2)
 
 

@@ -87,6 +87,19 @@ class TestConfigParsing:
             cli.load_config(cfg)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("lattice.antiflags", "true,true,true"),
+        ("solver.max_iters", "3")])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        # a misspelled key must not silently leave its default in place
+        cfg = write_config(tmp_path, **{key: value})
+        lineno = Path(cfg).read_text().splitlines().index(
+            f"{key} = {value}") + 1
+        with pytest.raises(cli.ConfigError,
+                           match=rf":{lineno}: unknown key '{key}'"):
+            cli.load_config(cfg)
+
+
 class TestCommands:
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["check", "--suite", "mystery"]) == 2
@@ -241,3 +254,12 @@ class TestCommands:
         residuals = (out_dir / "residuals.csv").read_text().splitlines()
         assert residuals[0] == "iter,residual"
         assert len(residuals) >= 2
+
+    def test_solve_prints_report_warnings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear",
+                                        "solver.max_iter": "1"})
+        rc = cli.main(["solve", "--config", cfg])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "warning: iteration cap reached before the tolerance" in out
+        assert "admissible=false" in out

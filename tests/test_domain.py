@@ -60,13 +60,6 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             build_box_domain((1.0, 0.3, 1.0), 1.0, 0.25, 0.25)
 
-    def test_element_view(self):
-        d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)
-        elems = d.boundary
-        assert len(elems) == d.n_boundary
-        assert elems[0].kind == "lateral"
-        assert coeff_norm(elems[0].conormal) == pytest.approx(1.0)
-
 
 class TestQuotientDomain:
     def test_rank3_has_only_caps(self):

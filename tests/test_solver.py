@@ -356,3 +356,41 @@ class TestCompositeDiagnostics:
             rhs = np.sqrt(2.0) * discrete_norm(teodorescu(defect, ctx), "L2")
             slacks.append(lhs - rhs)
         assert slacks[1] < slacks[0]
+
+
+class TestSharedOperatorCores:
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_sobolev_gram_pairs_to_w11_norm(self, periodic):
+        from wittflow.domain import SpaceTimeGrid
+        from wittflow.solver import _sobolev_gram
+        dims = (4, 4, 4) if periodic else (3, 4, 5)
+        grid = SpaceTimeGrid(h=0.25, dt=0.0625, dims=dims, nt=6,
+                             periodic=(periodic,) * 3)
+        rng = np.random.default_rng(3)
+        u = Field(rng.standard_normal(grid.shape + (7,)), grid)
+        pairing = float(np.sum(u.values * _sobolev_gram(u).values))
+        assert pairing == pytest.approx(discrete_norm(u, "W11") ** 2,
+                                        rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["box", "torus_p"])
+    def test_pressure_rhs_of_a_gradient_is_its_system_column(self, name):
+        # the right side and the system share one Q T core: the forcing
+        # grad p0 of a zero-mean p0 gives exactly the column of p0
+        from wittflow.domain import build_box_domain
+        from wittflow.solver import _pressure_apply, _pressure_rhs
+        if name == "box":
+            d = build_box_domain((0.75,) * 3, 0.375, 0.25, 0.0625)
+            ctx = OperatorContext(d, KernelParams(1.0))
+        else:
+            ctx = torus_ctx()
+        grid = ctx.domain.grid
+        p0 = np.zeros(grid.n_cells)
+        # early slabs: the volume potential of the last slab is zero
+        cells = np.ravel_multi_index(([1, 2], [1, 0], [1, 2], [0, 2]),
+                                     grid.shape)
+        p0[cells] = (1.0, -1.0)
+        forcing = discrete_grad(Field.from_scalar(p0.reshape(grid.shape),
+                                                  grid))
+        column = _pressure_apply(ctx, p0[None])[0]
+        assert np.any(column)
+        assert _pressure_rhs(ctx, forcing).tobytes() == column.tobytes()
