@@ -5,7 +5,8 @@ Collocation nodes sit at space-time cell centers; boundary elements sit at
 face centroids.  On a box all six lateral face families carry outward
 conormal vectors ``+-ej`` with weight ``h^2 dt``; the temporal caps carry
 ``-f`` (initial) and ``+f`` (terminal) with weight ``h^3``.  On quotients the
-periodized axes have unit pitch and contribute no lateral boundary.
+periodized axes have unit pitch and contribute no lateral boundary.  A box
+is the rank-0 quotient: one builder makes every domain.
 """
 
 from __future__ import annotations
@@ -225,8 +226,6 @@ def _build_domain(grid: SpaceTimeGrid) -> Domain:
     for axis in range(3):
         if grid.periodic[axis]:
             continue
-        if dims[axis] < 3:
-            raise ValueError(f"axis {axis} too small for one-sided traces")
         across = [d for d in range(3) if d != axis]
         ia, ib = np.meshgrid(np.arange(dims[across[0]]),
                              np.arange(dims[across[1]]), indexing="ij")
@@ -275,50 +274,32 @@ def _build_domain(grid: SpaceTimeGrid) -> Domain:
 
 
 def build_box_domain(extent, horizon: float, h: float, dt: float) -> Domain:
-    """Axis-aligned box cross [0, horizon] with full lateral boundary."""
-    extent = tuple(float(e) for e in np.atleast_1d(extent).repeat(
-        3 if np.ndim(extent) == 0 else 1)[:3])
-    if len(extent) != 3:
-        raise ValueError("extent must give 3 box lengths")
+    """Axis-aligned box cross [0, horizon]: the rank-0 quotient."""
+    from .lattice import LatticeSpec
+    return build_quotient_domain(LatticeSpec(), extent, horizon, h, dt)
+
+
+def build_quotient_domain(spec, free_extent, horizon: float, h: float,
+                          dt: float) -> Domain:
+    """Quotient of the first ``spec.rank`` axes (unit pitch) times a box.
+
+    ``free_extent`` gives the lengths of the ``3 - spec.rank`` free axes.
+    Periodized axes wrap and carry no lateral boundary; the free axes carry
+    full lateral boundary.  The spatial spacing must tile every axis.
+    """
+    rank = spec.rank
+    free_extent = [float(e) for e in np.atleast_1d(free_extent)]
+    if len(free_extent) != 3 - rank:
+        raise ValueError(f"need {3 - rank} free-axis extents, got "
+                         f"{len(free_extent)}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    extent = [1.0] * rank + free_extent
     dims = tuple(_cells_to_count(e, h, f"extent[{d}]")
                  for d, e in enumerate(extent))
     nt = _cells_to_count(horizon, dt, "horizon")
-    grid = SpaceTimeGrid(h=h, dt=dt, dims=dims, nt=max(nt, 2))
-    return _build_domain(grid)
-
-
-def build_quotient_domain(spec, box_extent_for_free_axes, horizon: float,
-                          h: float, dt: float) -> Domain:
-    """Quotient of the first ``spec.rank`` axes (unit pitch) times a box.
-
-    Periodized axes wrap and carry no lateral boundary; the remaining axes
-    behave like box axes.  The spatial spacing must tile the unit pitch.
-    """
-    rank = spec.rank
-    free_extent = [float(e) for e in np.atleast_1d(box_extent_for_free_axes)]
-    if len(free_extent) < 3 - rank:
-        raise ValueError(f"need {3 - rank} free-axis extents, got "
-                         f"{len(free_extent)}")
-    dims = []
-    periodic = []
-    for d in range(3):
-        if d < rank:
-            n = 1.0 / h
-            n_int = int(round(n))
-            if abs(n - n_int) > 1e-9 or n_int < 1:
-                raise ValueError(
-                    f"axis {d}: spacing {h} does not tile the unit pitch")
-            dims.append(n_int)
-            periodic.append(True)
-        else:
-            dims.append(_cells_to_count(free_extent[d - rank], h,
-                                        f"free extent[{d}]"))
-            periodic.append(False)
-    nt = _cells_to_count(horizon, dt, "horizon")
-    grid = SpaceTimeGrid(h=h, dt=dt, dims=tuple(dims), nt=max(nt, 2),
-                         periodic=tuple(periodic))
+    grid = SpaceTimeGrid(h=h, dt=dt, dims=dims, nt=max(nt, 2),
+                         periodic=tuple(d < rank for d in range(3)))
     return _build_domain(grid)
 
 

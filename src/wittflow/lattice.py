@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (KernelParams, SpaceTimePoint, fundamental_solution,
-                      fundamental_solution_array)
+from .kernels import KernelParams, SpaceTimePoint, fundamental_solution_array
 
 __all__ = [
     "LatticeSpec",
@@ -138,14 +137,15 @@ def tail_bound(m_start: int, r: float, t: float,
             raise RuntimeError("tail bound failed to converge")
 
 
-def _check_not_singular(x: np.ndarray, t: float, spec: LatticeSpec) -> None:
+def _check_not_singular(points: np.ndarray, t: float,
+                        spec: LatticeSpec) -> None:
+    """Reject points ``(..., 3)`` at a lattice translate of the space-time
+    origin."""
     if t != 0.0:
         return
-    x = np.asarray(x, dtype=float)
-    offsets = x.copy()
-    for j in range(spec.rank):
-        offsets[j] = x[j] - np.round(x[j])
-    if np.linalg.norm(offsets) == 0.0:
+    offsets = np.array(points, dtype=float)
+    offsets[..., :spec.rank] -= np.round(offsets[..., :spec.rank])
+    if np.any(np.all(offsets == 0.0, axis=-1)):
         raise ValueError("kernel is singular at a lattice translate of the "
                          "space-time origin")
 
@@ -207,10 +207,6 @@ def periodized_fundamental_solution(p: SpaceTimePoint, params: KernelParams,
     """
     x = np.asarray(p.x, dtype=float)
     _check_not_singular(x, p.t, spec)
-    if spec.rank == 0:
-        if p.t <= 0.0:
-            return np.zeros(7), 0.0, 0
-        return fundamental_solution(p, params), 0.0, 1
     values, tail, shells = periodized_solution_batch(
         x[None, :], p.t, params, spec, target_tol)
     return values[0], tail, shells
@@ -224,9 +220,11 @@ def brute_force_periodized(points: np.ndarray, t: float,
     Returns (values, own_tail_bound); used to validate the shell-summed
     implementation against an independent enumeration.  The tail bound is
     infinite when ``radius + 1`` does not exceed the largest point radius,
-    where the analytic bound does not apply.
+    where the analytic bound does not apply.  Singular points are rejected,
+    as in ``periodized_fundamental_solution``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_not_singular(points, t, spec)
     n = len(points)
     if t <= 0.0:
         return np.zeros((n, 7)), 0.0

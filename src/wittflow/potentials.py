@@ -102,6 +102,11 @@ class OperatorContext:
         return self._cache[name]
 
 
+def _check_field(u: Field, ctx: OperatorContext) -> None:
+    if u.grid != ctx.domain.grid:
+        raise ValueError("field does not live on the context domain")
+
+
 # ---------------------------------------------------------------------------
 # Offset geometry
 # ---------------------------------------------------------------------------
@@ -306,8 +311,7 @@ def teodorescu(u: Field, ctx: OperatorContext) -> Field:
     Strict causality is enforced structurally: output slabs at or before
     the first active input slab are exact zeros, not transform roundoff.
     """
-    if u.grid != ctx.domain.grid:
-        raise ValueError("field does not live on the context domain")
+    _check_field(u, ctx)
     return Field(_teodorescu(u.values[None], ctx)[0], u.grid)
 
 
@@ -317,8 +321,7 @@ def teodorescu_adjoint(w: Field, ctx: OperatorContext) -> Field:
     Anti-causal counterpart of the forward masking: slabs at or after the
     last active input slab are exact zeros.
     """
-    if w.grid != ctx.domain.grid:
-        raise ValueError("field does not live on the context domain")
+    _check_field(w, ctx)
     g = ctx.domain.grid
     out = _volume_conv(ctx).apply_transpose(w.values[None]) * g.cell_volume
     active = np.flatnonzero(_active_slabs(w.values[None])[0])
@@ -371,8 +374,6 @@ def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
             for side in (0, 1):
                 mask = (d.b_kind == 0) & (d.b_axis == axis) & (d.b_side == side)
                 idx = np.nonzero(mask)[0]
-                if not len(idx):
-                    continue
                 n_axis = g.dims[axis]
                 shift = 0.5 if side == 0 else 0.5 - n_axis
                 xo_face = list(xo)
@@ -430,9 +431,8 @@ def cauchy_transform(bd: BoundaryData, ctx: OperatorContext) -> Field:
 
 def cauchy_adjoint(w: Field, ctx: OperatorContext) -> BoundaryData:
     """Transpose of the boundary potential in plain coordinates."""
+    _check_field(w, ctx)
     d = ctx.domain
-    if w.grid != d.grid:
-        raise ValueError("field does not live on the context domain")
     out = np.zeros((d.n_boundary, 7))
     for group in _face_groups(ctx):
         density = group.conv.apply_transpose(
@@ -453,8 +453,7 @@ def _trace(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
 
 def boundary_trace(u: Field, ctx: OperatorContext) -> BoundaryData:
     """Field values extrapolated to face centroids (one-sided, 2nd order)."""
-    if u.grid != ctx.domain.grid:
-        raise ValueError("field does not live on the context domain")
+    _check_field(u, ctx)
     return BoundaryData(_trace(u.values[None], ctx)[0], ctx.domain)
 
 
@@ -626,6 +625,7 @@ def bergman_projection(u: Field, ctx: OperatorContext) -> Field:
     matches the traced volume potential of ``u``, then applies the boundary
     potential.
     """
+    _check_field(u, ctx)
     return Field(_bergman_projection(u.values[None], ctx)[0], u.grid)
 
 

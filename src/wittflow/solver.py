@@ -82,7 +82,6 @@ class NavierStokesProblem:
 
 @dataclass
 class SolverReport:
-    iterations: int
     residual_history: list[float]
     C1: float = float("nan")
     C2: float = float("nan")
@@ -91,6 +90,10 @@ class SolverReport:
     admissible: bool | None = None
     converged: bool = True
     warnings: list[str] = dataclass_field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
     def summary(self) -> str:
         """Key-value run summary line."""
@@ -180,11 +183,7 @@ def solve_linear(prob: NavierStokesProblem):
     p_flat = _pressure_solve(ctx, prob.forcing)
     p = Field.from_scalar(_zero_mean(p_flat).reshape(grid.shape), grid)
     u = _velocity_from(ctx, prob.forcing - discrete_grad(p))
-    report = SolverReport(
-        iterations=1,
-        residual_history=[discrete_norm(u, "W11")],
-    )
-    return u, p, report
+    return u, p, SolverReport(residual_history=[discrete_norm(u, "W11")])
 
 
 def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
@@ -205,6 +204,9 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
     if u0 is None:
         u = Field.zeros(grid)
     else:
+        if u0.grid != grid:
+            raise ValueError("initial iterate does not live on the context "
+                             "domain")
         vals = u0.values.copy()
         if np.any(vals[..., [0, 4, 5, 6]] != 0.0):
             vals[..., [0, 4, 5, 6]] = 0.0
@@ -257,7 +259,6 @@ def _diagnosed_report(history, c1, c2, forcing, u0, converged,
     if not converged:
         admissible = False
     return SolverReport(
-        iterations=len(history),
         residual_history=list(history),
         C1=c1, C2=c2, W=w_const, L=l_const,
         admissible=admissible,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import kernels
-from .domain import (Field, build_box_domain, build_quotient_domain,
-                     discrete_grad, discrete_norm)
+from .domain import (Field, build_quotient_domain, discrete_grad,
+                     discrete_norm)
 from .kernels import (ConventionRecord, KernelParams,
                       apply_parabolic_dirac, fundamental_solution_array)
 from .lattice import (LatticeSpec, brute_force_periodized,
@@ -323,12 +323,8 @@ def _study_domains(levels, horizon, lattice: LatticeSpec):
     for n, nt in levels:
         h = 1.0 / n
         dt = horizon / nt
-        if lattice.rank == 0:
-            domains.append(build_box_domain((1.0, 1.0, 1.0), horizon, h, dt))
-        else:
-            free = [1.0] * (3 - lattice.rank)
-            domains.append(build_quotient_domain(lattice, free, horizon,
-                                                 h, dt))
+        domains.append(build_quotient_domain(
+            lattice, [1.0] * (3 - lattice.rank), horizon, h, dt))
     return domains
 
 

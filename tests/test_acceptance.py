@@ -10,6 +10,7 @@ tests report the measured evidence; the companion studies that do converge
 are printed alongside.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -245,13 +246,19 @@ class TestCriterion10:
             "forcing.preset = vector_bump\n"
             "forcing.scale = 0.01\n"
             "solver.mode = linear\n")
+        # the children import the wittflow these tests import, installed or
+        # not
+        src = str(Path(verify.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run
             proc = subprocess.run(
                 [sys.executable, "-m", "wittflow.cli", "--threads", "1",
                  "solve", "--config", str(config), "--output", str(out)],
-                capture_output=True, text=True, cwd=str(Path.cwd()))
+                capture_output=True, text=True, cwd=str(Path.cwd()), env=env)
             assert proc.returncode == 0, proc.stderr
             outputs.append(out)
         identical = all(

@@ -156,6 +156,15 @@ class TestCommands:
             last = capsys.readouterr().out.splitlines()[-1]
             assert last == "tail_estimate=inf shells_used=1"
 
+    @pytest.mark.parametrize("where", [
+        ["--point", "0,0,0"],
+        ["--point", "1,0,0", "--lattice", "3"],
+        ["--point", "1,0,0", "--lattice", "1,true"],
+        ["--point", "1,0,0", "--lattice", "1,true", "--shells", "2"]])
+    def test_kernel_singular_point_exit_3(self, where, capsys):
+        assert cli.main(["kernel", "--time", "0", "--k", "1.0"] + where) == 3
+        assert "singular" in capsys.readouterr().err
+
     def test_kernel_lattice_matches_plain_at_rank0(self, capsys):
         cli.main(["kernel", "--point", "0.2,0.1,0.4", "--time", "0.4",
                   "--k", "2.0"])

@@ -60,6 +60,20 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             build_box_domain((1.0, 0.3, 1.0), 1.0, 0.25, 0.25)
 
+    def test_extent_count_must_be_three(self):
+        with pytest.raises(ValueError, match="3 free-axis extents"):
+            build_box_domain((1.0, 1.0, 1.0, 1.0), 1.0, 0.25, 0.25)
+
+    def test_box_is_rank0_quotient(self):
+        extent = (1.0, 0.75, 1.25)
+        box = build_box_domain(extent, 0.5, 0.25, 0.125)
+        quotient = build_quotient_domain(LatticeSpec(), extent, 0.5, 0.25,
+                                         0.125)
+        assert box.grid == quotient.grid
+        for name in ("b_position", "b_time", "b_weight", "b_conormal",
+                     "b_kind", "b_axis", "b_side", "b_near", "b_next"):
+            assert np.array_equal(getattr(box, name), getattr(quotient, name))
+
 
 class TestQuotientDomain:
     def test_rank3_has_only_caps(self):
@@ -83,6 +97,11 @@ class TestQuotientDomain:
         spec = LatticeSpec(3, (False,) * 3)
         with pytest.raises(ValueError):
             build_quotient_domain(spec, [], 0.5, 0.3, 0.125)
+
+    def test_free_extent_count_exact(self):
+        spec = LatticeSpec(1, (False,))
+        with pytest.raises(ValueError, match="2 free-axis extents"):
+            build_quotient_domain(spec, [1.0, 1.0, 1.0], 0.5, 0.25, 0.125)
 
 
 class TestDiscreteOperators:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,16 @@ class TestBoundaryPotential:
         other = box_ctx(n=4).domain.grid
         with pytest.raises(ValueError, match="context domain"):
             cauchy_adjoint(Field.zeros(other), ctx)
+
+    @pytest.mark.parametrize("op", [teodorescu, teodorescu_adjoint,
+                                    cauchy_adjoint, boundary_trace,
+                                    bergman_projection, bergman_complement])
+    def test_rejects_same_shaped_foreign_field(self, op):
+        ctx = box_ctx(n=3)
+        other = dataclasses.replace(ctx.domain.grid,
+                                    dt=2.0 * ctx.domain.grid.dt)
+        with pytest.raises(ValueError, match="context domain"):
+            op(Field.zeros(other), ctx)
 
     def test_trace_adjoint_rejects_foreign_data(self):
         ctx = box_ctx(n=3)

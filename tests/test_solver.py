@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,14 @@ class TestFixedPoint:
                                          u0=u0, max_iter=5, tol=1e-10,
                                          constants=constants)
         assert any("projected" in w for w in report.warnings)
+
+    def test_foreign_initial_iterate_rejected(self, small_ctx, constants):
+        g = small_ctx.domain.grid
+        other = dataclasses.replace(g, dt=2.0 * g.dt)
+        prob = NavierStokesProblem(small_ctx, Field.zeros(g))
+        with pytest.raises(ValueError, match="initial iterate"):
+            fixed_point_solve(prob, u0=Field.zeros(other), max_iter=1,
+                              constants=constants)
 
     def test_divergence_detection(self, small_ctx, constants):
         base = verify.vector_bump_field(small_ctx.domain.grid)
