@@ -229,35 +229,32 @@ def _write_text(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
-def cmd_solve(args) -> int:
+def _set_up(args):
+    """Config, calibrated convention, context and forcing of a run."""
     from . import verify
-    from .domain import export_solution_csv
-    from .solver import (NavierStokesProblem, SolverDivergence,
-                         convergence_check, estimate_constants,
-                         fixed_point_solve, solve_linear)
     cfg = load_config(args.config)
-    out_dir = Path(args.output or cfg.output_dir)
     verify.ensure_convention()
     ctx = _build_context(cfg)
-    forcing = _build_forcing(cfg, ctx)
+    return cfg, ctx, _build_forcing(cfg, ctx)
+
+
+def cmd_solve(args) -> int:
+    from .domain import export_solution_csv
+    from .solver import (NavierStokesProblem, SolverDivergence,
+                         fixed_point_solve, solve_linear)
+    cfg, ctx, forcing = _set_up(args)
+    out_dir = Path(args.output or cfg.output_dir)
     prob = NavierStokesProblem(ctx, forcing)
 
     if cfg.mode == "linear":
         u, p, report = solve_linear(prob)
         exit_code = 0
     else:
-        c1, c2 = estimate_constants(ctx, seed=args.seed)
-        from .domain import discrete_norm
-        adm, _, _ = convergence_check(c1, c2,
-                                      discrete_norm(forcing, "L2"), 0.0)
-        if not adm:
-            print("warning: forcing exceeds the admissibility bound; "
-                  "proceeding without a convergence guarantee")
         try:
             u, p, report = fixed_point_solve(
                 prob, max_iter=cfg.max_iter,
                 tol=args.tol if args.tol is not None else cfg.tol,
-                constants=(c1, c2), seed=args.seed)
+                seed=args.seed)
             exit_code = 0
         except SolverDivergence as exc:
             print(f"numerical failure: {exc}")
@@ -285,13 +282,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    from . import verify
     from .domain import discrete_norm
     from .solver import convergence_check, estimate_constants
-    cfg = load_config(args.config)
-    verify.ensure_convention()
-    ctx = _build_context(cfg)
-    forcing = _build_forcing(cfg, ctx)
+    _, ctx, forcing = _set_up(args)
     c1, c2 = estimate_constants(ctx, seed=args.seed)
     f_norm = discrete_norm(forcing, "L2")
     admissible, w_const, l_const = convergence_check(c1, c2, f_norm, 0.0)
@@ -328,7 +321,11 @@ def cmd_kernel(args) -> int:
         except ValueError as exc:
             print(f"bad --lattice: {exc}", file=sys.stderr)
             return 2
-    if args.shells is not None and spec.rank:
+    if args.shells is not None:
+        if not spec.rank:
+            print("bad --shells: shells need a lattice of rank 1..3",
+                  file=sys.stderr)
+            return 2
         value, tail = brute_force_periodized(
             np.asarray(point)[None, :], args.time, params, spec,
             radius=args.shells)
@@ -503,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--k", type=float, required=True)
     p_kernel.add_argument("--lattice", default=None,
                           help="rank[,flag,flag,...] for periodization")
-    p_kernel.add_argument("--shells", type=int, default=None)
-    p_kernel.add_argument("--tol", type=float, default=1e-10)
+    summation = p_kernel.add_mutually_exclusive_group()
+    summation.add_argument("--shells", type=int, default=None)
+    summation.add_argument("--tol", type=float, default=1e-10)
     p_kernel.set_defaults(func=cmd_kernel)
 
     p_solve = sub.add_parser("solve", help="run a flow solve from a config")

@@ -2,11 +2,13 @@
 operators and discrete norms.
 
 Collocation nodes sit at space-time cell centers; boundary elements sit at
-face centroids.  On a box all six lateral face families carry outward
-conormal vectors ``+-ej`` with weight ``h^2 dt``; the temporal caps carry
-``-f`` (initial) and ``+f`` (terminal) with weight ``h^3``.  On quotients the
-periodized axes have unit pitch and contribute no lateral boundary.  A box
-is the rank-0 quotient: one builder makes every domain.
+face centroids.  The boundary is the set of faces of the space-time box,
+keyed ``(axis, side)`` over the four space-time axes: a lateral face is
+normal to a spatial axis ``j`` and carries the outward conormal ``+-ej``
+with weight ``h^2 dt``; a cap is the face normal to time (axis 3) and
+carries ``-f`` (initial) or ``+f`` (terminal) with weight ``h^3``.  On
+quotients the periodized axes have unit pitch and contribute no faces.  A
+box is the rank-0 quotient: one builder makes every domain.
 """
 
 from __future__ import annotations
@@ -201,74 +203,52 @@ def _cells_to_count(extent: float, h: float, label: str) -> int:
     return n_int
 
 
-def _build_domain(grid: SpaceTimeGrid) -> Domain:
-    dims, nt = grid.dims, grid.nt
-    h, dt = grid.h, grid.dt
-    columns: dict[str, list[np.ndarray]] = {}
-    centers = [grid.axis_centers(d) for d in range(3)]
-    tc = grid.axis_centers(3)
+def _faces(grid: SpaceTimeGrid) -> list[tuple[int, int]]:
+    """Face families ``(axis, side)`` of the space-time box, in element
+    order: two per free spatial axis, then the caps (axis 3)."""
+    free = [not p for p in grid.periodic] + [True]
+    return [(axis, side) for axis in range(4) if free[axis]
+            for side in (0, 1)]
 
-    def add_family(position, time, weight, conormal, kind, axis, side, near,
-                   nxt):
-        """Append elements sharing time, weight, conormal and labels."""
-        n = len(position)
+
+def _build_domain(grid: SpaceTimeGrid) -> Domain:
+    """Boundary elements of every face family of ``grid``.
+
+    A family's elements run over its other space-time axes, time slab first
+    and then the spatial axes in ascending order.
+    """
+    shape = grid.shape
+    lower = (0.0, 0.0, 0.0, grid.t0)
+    upper = (*grid.extent, grid.t0 + grid.horizon)
+    columns: dict[str, list[np.ndarray]] = {}
+    for axis, side in _faces(grid):
+        across = [d for d in (3, 0, 1, 2) if d != axis]
+        cells = np.indices([shape[d] for d in across]).reshape(3, -1)
+        n = cells.shape[1]
+        near = np.empty((n, 4), dtype=np.int64)
+        near[:, across] = cells.T
+        near[:, axis] = (0, shape[axis] - 1)[side]
+        nxt = near.copy()
+        nxt[:, axis] = (1, shape[axis] - 2)[side]
+        where = np.empty((n, 4))
+        for d, i in zip(across, cells):
+            where[:, d] = grid.axis_centers(d)[i]
+        where[:, axis] = (lower, upper)[side][axis]
+        conormal = np.zeros(7)
+        conormal[1 + axis] = (-1.0, 1.0)[side]
+        # the face measure: h per spatial axis along the face, dt along time
+        weight = grid.h ** sum(d < 3 for d in across) \
+            * grid.dt ** (3 in across)
         for name, value in (
-                ("b_position", position),
-                ("b_time", np.full(n, time)),
+                ("b_position", where[:, :3]),
+                ("b_time", where[:, 3]),
                 ("b_weight", np.full(n, weight)),
                 ("b_conormal", np.tile(conormal, (n, 1))),
-                ("b_kind", np.full(n, kind, dtype=np.int64)),
-                ("b_axis", np.full(n, axis, dtype=np.int64)),
-                ("b_side", np.full(n, side, dtype=np.int64)),
+                ("b_kind", np.full(n, (1 + side) * (axis == 3))),
+                ("b_axis", np.full(n, axis)),
+                ("b_side", np.full(n, side)),
                 ("b_near", near), ("b_next", nxt)):
             columns.setdefault(name, []).append(value)
-
-    for axis in range(3):
-        if grid.periodic[axis]:
-            continue
-        across = [d for d in range(3) if d != axis]
-        ia, ib = np.meshgrid(np.arange(dims[across[0]]),
-                             np.arange(dims[across[1]]), indexing="ij")
-        ia, ib = ia.ravel(), ib.ravel()
-        for side in (0, 1):
-            x_face = 0.0 if side == 0 else grid.extent[axis]
-            normal = np.zeros(7)
-            normal[1 + axis] = -1.0 if side == 0 else 1.0
-            cell_along = 0 if side == 0 else dims[axis] - 1
-            next_along = 1 if side == 0 else dims[axis] - 2
-            for j in range(nt):
-                pos = np.zeros((len(ia), 3))
-                pos[:, axis] = x_face
-                pos[:, across[0]] = centers[across[0]][ia]
-                pos[:, across[1]] = centers[across[1]][ib]
-                near = np.zeros((len(ia), 4), dtype=np.int64)
-                near[:, axis] = cell_along
-                near[:, across[0]] = ia
-                near[:, across[1]] = ib
-                near[:, 3] = j
-                nxt = near.copy()
-                nxt[:, axis] = next_along
-                add_family(pos, tc[j], h * h * dt, normal, 0, axis, side,
-                           near, nxt)
-
-    # Temporal caps: one element per spatial cell, at t0 and t0 + horizon.
-    i1, i2, i3 = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
-    i1, i2, i3 = i1.ravel(), i2.ravel(), i3.ravel()
-    cap_pos = np.stack([centers[0][i1], centers[1][i2], centers[2][i3]],
-                       axis=-1)
-    for side, t_face, f_sign, kind in (
-            (0, grid.t0, -1.0, 1),
-            (1, grid.t0 + grid.horizon, 1.0, 2)):
-        conormal = np.zeros(7)
-        conormal[4] = f_sign
-        near = np.stack([i1, i2, i3,
-                         np.full(len(i1), 0 if side == 0 else nt - 1)],
-                        axis=-1)
-        nxt = near.copy()
-        nxt[:, 3] = 1 if side == 0 else nt - 2
-        add_family(cap_pos, t_face, h ** 3, conormal, kind, 3, side, near,
-                   nxt)
-
     return Domain(grid=grid, **{name: np.concatenate(parts)
                                 for name, parts in columns.items()})
 

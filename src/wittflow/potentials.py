@@ -12,10 +12,11 @@ handled by doubling the axis with a sign twist.
 
 The Bergman projection is computed algebraically from the boundary system
 ``trace o volume o boundary`` restricted to the causally active boundary
-components (the terminal cap, and the conormal null directions of each
-element, contribute nothing to the boundary potential and are excluded from
-the square system).  Kernel tables, face groups and the pseudo-inverses are
-built once per ``OperatorContext`` and live as long as it does.
+components (the conormal null directions of each element, and every element
+of the final time slab, terminal cap included, contribute nothing to the
+boundary potential and are excluded from the square system).  Kernel
+tables, face groups and the pseudo-inverses are built once per
+``OperatorContext`` and live as long as it does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .domain import Domain, Field, _check_finite
+from .domain import Domain, Field, _check_finite, _faces
 from .kernels import KernelParams, active_convention, fundamental_solution_array
 from .lattice import LatticeSpec, periodized_solution_batch
 from .witt_algebra import mul_arrays, mul_matrix, structure_tensor
@@ -340,10 +341,9 @@ def teodorescu_adjoint(w: Field, ctx: OperatorContext) -> Field:
 class _FaceGroup:
     """Boundary elements of one face family and their convolution.
 
-    ``axis`` is the field axis the convolution's leading index runs along:
-    the face axis for a lateral family, time (3) for the initial cap.
-    ``slot`` scatters the family's elements into a density shaped like the
-    convolution's data.
+    ``axis`` is the face axis, which the convolution's leading index runs
+    along.  ``slot`` scatters the family's elements into a density shaped
+    like the convolution's data.
     """
 
     axis: int
@@ -353,44 +353,33 @@ class _FaceGroup:
 
 
 def _face_groups(ctx: OperatorContext) -> list[_FaceGroup]:
-    """Boundary elements grouped by family, each with its convolution.
+    """Boundary elements grouped by face family, each with its convolution.
 
-    Lateral families are keyed (axis, side); the offset along the face axis
-    is a half-shifted ladder indexed by the output layer, while the across
-    axes and time convolve.  The initial cap indexes its table by the output
-    time slab and convolves in space.  The terminal cap never contributes to
-    the boundary potential (the kernel argument would need a negative time
-    offset) and gets no group.
+    The offset along the face axis is a half-shifted ladder indexed by the
+    output layer, while the other space-time axes convolve.  The terminal
+    cap gets no group: all its time offsets are negative, where the causal
+    kernel vanishes.
     """
     def build():
         d = ctx.domain
         g = d.grid
         xo, t_off = _offset_ladders(ctx)
         groups = []
-        for axis in range(3):
-            if g.periodic[axis]:
+        for axis, side in _faces(g):
+            n = g.shape[axis]
+            shift = 0.5 if side == 0 else 0.5 - n
+            ladders = xo + [t_off]
+            ladders[axis] = (np.arange(n) + shift) * g.spacing(axis)
+            if ladders[3].max() <= 0.0:
                 continue
-            across = [a for a in range(3) if a != axis]
-            for side in (0, 1):
-                mask = (d.b_kind == 0) & (d.b_axis == axis) & (d.b_side == side)
-                idx = np.nonzero(mask)[0]
-                n_axis = g.dims[axis]
-                shift = 0.5 if side == 0 else 0.5 - n_axis
-                xo_face = list(xo)
-                xo_face[axis] = (np.arange(n_axis) + shift) * g.h
-                table = _eval_kernel_grid(ctx, xo_face, t_off)
-                shape = (g.dims[across[0]], g.dims[across[1]], g.nt)
-                # moving the face axis first keeps the across axes ascending
-                conv = _Convolution(np.moveaxis(table, axis, 0), shape)
-                slot = (d.b_near[idx][:, across[0]],
-                        d.b_near[idx][:, across[1]],
-                        d.b_near[idx][:, 3])
-                groups.append(_FaceGroup(axis, idx, slot, conv))
-        idx = np.nonzero(d.b_kind == 1)[0]
-        table = _eval_kernel_grid(ctx, xo, (np.arange(g.nt) + 0.5) * g.dt)
-        conv = _Convolution(np.moveaxis(table, 3, 0), g.dims)
-        slot = (d.b_near[idx][:, 0], d.b_near[idx][:, 1], d.b_near[idx][:, 2])
-        groups.append(_FaceGroup(3, idx, slot, conv))
+            idx = np.flatnonzero((d.b_axis == axis) & (d.b_side == side))
+            across = [a for a in range(4) if a != axis]
+            table = _eval_kernel_grid(ctx, ladders[:3], ladders[3])
+            # moving the face axis first keeps the other axes ascending
+            conv = _Convolution(np.moveaxis(table, axis, 0),
+                                [g.shape[a] for a in across])
+            slot = tuple(d.b_near[idx][:, across].T)
+            groups.append(_FaceGroup(axis, idx, slot, conv))
         return groups
     return ctx._cached("face_groups", build)
 
@@ -545,21 +534,17 @@ def _pseudo_inverse(apply_block, n: int, block: int) -> _PseudoInverse:
 def _active_mask(ctx: OperatorContext) -> np.ndarray:
     """Boundary components that can influence the boundary potential.
 
-    Lateral conormals kill the three Witt components; the initial cap keeps
-    only the scalar and the fd component; the terminal cap and the lateral
-    elements of the final time slab are causally inert (strictly-future
-    propagation).  Restricting the boundary system to the surviving
+    A component is inert where the element's conormal annihilates it (the
+    boundary potential weights the density by the conormal product), or
+    where the element lies in the final time slab (its potential reaches
+    only later slabs).  Restricting the boundary system to the other
     components removes its structural null space.
     """
-    d = ctx.domain
-    nt = d.grid.nt
-    mask = np.zeros((d.n_boundary, 7), dtype=bool)
-    lateral = (d.b_kind == 0) & (d.b_near[:, 3] < nt - 1)
-    mask[lateral, 0:4] = True
-    cap0 = d.b_kind == 1
-    mask[cap0, 0] = True
-    mask[cap0, 5] = True
-    return mask
+    def build():
+        d = ctx.domain
+        live = np.any(mul_matrix(d.b_conormal) != 0.0, axis=-2)
+        return live & (d.b_near[:, 3] < d.grid.nt - 1)[:, None]
+    return ctx._cached("active_mask", build)
 
 
 def _active_density(z: np.ndarray, ctx: OperatorContext) -> np.ndarray:

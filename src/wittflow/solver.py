@@ -258,12 +258,16 @@ def _diagnosed_report(history, c1, c2, forcing, u0, converged,
     admissible, w_const, l_const = convergence_check(c1, c2, f_norm, u0_norm)
     if not converged:
         admissible = False
+    warnings = list(warnings)
+    if f_norm > _forcing_bound(c1, c2):
+        warnings.append("forcing exceeds the admissibility bound; no "
+                        "convergence guarantee")
     return SolverReport(
         residual_history=list(history),
         C1=c1, C2=c2, W=w_const, L=l_const,
         admissible=admissible,
         converged=converged,
-        warnings=list(warnings),
+        warnings=warnings,
     )
 
 

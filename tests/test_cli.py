@@ -165,6 +165,19 @@ class TestCommands:
         assert cli.main(["kernel", "--time", "0", "--k", "1.0"] + where) == 3
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank0", [[], ["--lattice", "0"]])
+    def test_kernel_shells_refused_at_rank_0(self, rank0, capsys):
+        assert cli.main(["kernel", "--point", "0.3,0.2,0.1", "--time", "0.5",
+                         "--k", "1.0", "--shells", "2"] + rank0) == 2
+        captured = capsys.readouterr()
+        assert "bad --shells" in captured.err and not captured.out
+
+    def test_kernel_shells_and_tol_exclusive(self, capsys):
+        assert cli.main(["kernel", "--point", "0.3,0.2,0.1", "--time", "0.5",
+                         "--k", "1.0", "--lattice", "3", "--shells", "2",
+                         "--tol", "1e-6"]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_kernel_lattice_matches_plain_at_rank0(self, capsys):
         cli.main(["kernel", "--point", "0.2,0.1,0.4", "--time", "0.4",
                   "--k", "2.0"])
@@ -272,3 +285,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "warning: iteration cap reached before the tolerance" in out
         assert "admissible=false" in out
+
+    def test_solve_warns_once_about_oversized_forcing(self, tmp_path,
+                                                       capsys):
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear",
+                                        "solver.max_iter": "1",
+                                        "forcing.scale": "1e8"})
+        cli.main(["solve", "--config", cfg])
+        out = capsys.readouterr().out
+        assert out.count("forcing exceeds the admissibility bound") == 1

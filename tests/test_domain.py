@@ -70,9 +70,83 @@ class TestBoxDomain:
         quotient = build_quotient_domain(LatticeSpec(), extent, 0.5, 0.25,
                                          0.125)
         assert box.grid == quotient.grid
-        for name in ("b_position", "b_time", "b_weight", "b_conormal",
-                     "b_kind", "b_axis", "b_side", "b_near", "b_next"):
+        for name in BOUNDARY_ARRAYS:
             assert np.array_equal(getattr(box, name), getattr(quotient, name))
+
+
+BOUNDARY_ARRAYS = ("b_position", "b_time", "b_weight", "b_conormal",
+                   "b_kind", "b_axis", "b_side", "b_near", "b_next")
+
+
+def enumerate_boundary(grid):
+    """The boundary elements of ``grid`` written out one at a time: each
+    lateral face ``(axis, side)`` slab by slab and cell by cell, then the
+    initial and terminal caps cell by cell."""
+    h, dt, dims, nt = grid.h, grid.dt, grid.dims, grid.nt
+    rows = {name: [] for name in BOUNDARY_ARRAYS}
+
+    def add(position, time, weight, component, side, kind, axis, near,
+            nxt):
+        conormal = [0.0] * 7
+        conormal[component] = -1.0 if side == 0 else 1.0
+        for name, value in zip(BOUNDARY_ARRAYS, (
+                position, time, weight, conormal, kind, axis, side, near,
+                nxt)):
+            rows[name].append(value)
+
+    for axis in range(3):
+        if grid.periodic[axis]:
+            continue
+        a, b = [d for d in range(3) if d != axis]
+        for side in (0, 1):
+            for j in range(nt):
+                for ia in range(dims[a]):
+                    for ib in range(dims[b]):
+                        position = [0.0] * 3
+                        position[a] = (ia + 0.5) * h
+                        position[b] = (ib + 0.5) * h
+                        position[axis] = 0.0 if side == 0 else dims[axis] * h
+                        near = [0] * 4
+                        near[a], near[b], near[3] = ia, ib, j
+                        near[axis] = 0 if side == 0 else dims[axis] - 1
+                        nxt = list(near)
+                        nxt[axis] = 1 if side == 0 else dims[axis] - 2
+                        add(position, grid.t0 + (j + 0.5) * dt, h * h * dt,
+                            1 + axis, side, 0, axis, near, nxt)
+    for side in (0, 1):
+        time = grid.t0 if side == 0 else grid.t0 + nt * dt
+        for i1 in range(dims[0]):
+            for i2 in range(dims[1]):
+                for i3 in range(dims[2]):
+                    position = [(i + 0.5) * h for i in (i1, i2, i3)]
+                    slab = (0, 1) if side == 0 else (nt - 1, nt - 2)
+                    add(position, time, h ** 3, 4, side, 1 + side, 3,
+                        [i1, i2, i3, slab[0]], [i1, i2, i3, slab[1]])
+    dtypes = dict.fromkeys(BOUNDARY_ARRAYS, float)
+    dtypes.update(dict.fromkeys(("b_kind", "b_axis", "b_side", "b_near",
+                                 "b_next"), np.int64))
+    return {name: np.array(rows[name], dtype=dtypes[name])
+            for name in BOUNDARY_ARRAYS}
+
+
+class TestElementOrder:
+    """The element order is the column order of the Bergman system."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_box_domain((0.75, 1.0, 0.75), 0.375, 0.25, 0.125),
+        lambda: build_quotient_domain(LatticeSpec(1, (True,)), [1.0, 1.0],
+                                      0.5, 1.0 / 3.0, 0.125),
+        lambda: build_quotient_domain(LatticeSpec(3, (False,) * 3), [],
+                                      0.375, 0.25, 0.125)],
+        ids=["box", "cylinder", "torus"])
+    def test_matches_written_out_enumeration(self, build):
+        d = build()
+        want = enumerate_boundary(d.grid)
+        for name in BOUNDARY_ARRAYS:
+            got = getattr(d, name)
+            assert got.dtype == want[name].dtype, name
+            assert got.shape == want[name].shape, name
+            assert got.tobytes() == want[name].tobytes(), name
 
 
 class TestQuotientDomain:

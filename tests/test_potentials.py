@@ -428,6 +428,30 @@ class TestBergman:
                            * bergman_projection_adjoint(w, ctx).values))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: box_ctx(n=3, nt=3),
+        lambda: cylinder_ctx(flags=(True,)),
+        lambda: cylinder_ctx(flags=(True, False)),
+        lambda: torus_ctx(n=3, nt=4)],
+        ids=["box", "cylinder_a", "cylinder_ap", "torus_p"])
+    def test_inactive_columns_vanish(self, make_ctx):
+        # the active set drops only components whose boundary-system
+        # column is roundoff: over all 7 * n_boundary components, no column
+        # outside it rises above 1e-14 of the largest
+        from wittflow.potentials import (_active_mask, _assemble, _cauchy,
+                                         _probe_block, _trace_volume)
+        ctx = make_ctx()
+        nb = ctx.domain.n_boundary
+
+        def columns(z):
+            return _trace_volume(_cauchy(z.reshape(len(z), nb, 7), ctx), ctx)
+
+        a = _assemble(columns, 7 * nb, _probe_block(ctx))
+        norms = np.linalg.norm(a, axis=0)
+        inactive = ~_active_mask(ctx).reshape(-1)
+        assert inactive.any() and norms.max() > 0.0
+        assert norms[inactive].max() <= 1e-14 * norms.max()
+
     def test_factorization_is_cached(self):
         # the context owns its factorization; later projections reuse it
         from wittflow.potentials import _bergman_factorization

@@ -327,6 +327,18 @@ class TestFixedPoint:
         assert not report.admissible
         assert any("cap" in w for w in report.warnings)
 
+    def test_oversized_forcing_is_reported(self, small_ctx, constants):
+        from wittflow.solver import _forcing_bound
+        base = verify.vector_bump_field(small_ctx.domain.grid)
+        for ratio, warned in ((2.0, True), (0.5, False)):
+            f = base * (ratio * _forcing_bound(*constants)
+                        / discrete_norm(base, "L2"))
+            _, _, report = fixed_point_solve(
+                NavierStokesProblem(small_ctx, f), max_iter=1,
+                constants=constants)
+            assert warned == any("admissibility bound" in w
+                                 for w in report.warnings)
+
     def test_report_summary_format(self, small_ctx, constants):
         f = verify.vector_bump_field(small_ctx.domain.grid) * 1e-3
         _, _, report = fixed_point_solve(NavierStokesProblem(small_ctx, f),
