@@ -198,10 +198,10 @@ def _build_context(cfg: RunConfig):
     from .kernels import KernelParams
     from .lattice import LatticeSpec
     from .potentials import OperatorContext
-    spec = LatticeSpec(cfg.rank, cfg.anti_flags)
-    domain = build_quotient_domain(spec, cfg.extent[cfg.rank:], cfg.horizon,
+    domain = build_quotient_domain(LatticeSpec(cfg.rank, cfg.anti_flags),
+                                   cfg.extent[cfg.rank:], cfg.horizon,
                                    cfg.h, cfg.dt)
-    return OperatorContext(domain, KernelParams(cfg.k), spec,
+    return OperatorContext(domain, KernelParams(cfg.k),
                            quad_tol=cfg.quad_tol)
 
 
@@ -422,7 +422,7 @@ def _check_operators(out_dir: Path) -> list[tuple[str, bool]]:
     from . import verify
     from .lattice import LatticeSpec
     results = []
-    for lattice in (None, LatticeSpec(3, (False, False, False))):
+    for lattice in (LatticeSpec(), LatticeSpec(3, (False,) * 3)):
         study = verify.borel_pompeiu_study(lattice=lattice)
         _write_text(out_dir / f"{study.name}.csv", study.csv_rows())
         results.append((study.name, study.passed))

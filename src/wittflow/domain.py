@@ -9,6 +9,9 @@ with weight ``h^2 dt``; a cap is the face normal to time (axis 3) and
 carries ``-f`` (initial) or ``+f`` (terminal) with weight ``h^3``.  On
 quotients the periodized axes have unit pitch and contribute no faces.  A
 box is the rank-0 quotient: one builder makes every domain.
+
+The spin structure (``LatticeSpec``) is the grid's: every operator reads
+from the grid which axes wrap, and with which sign.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .witt_algebra import mul_arrays
 
 __all__ = [
+    "LatticeSpec",
     "SpaceTimeGrid",
     "Field",
     "Domain",
@@ -36,18 +40,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class LatticeSpec:
+    """Spin structure: periodization rank, one antiperiodicity flag per
+    generator."""
+
+    rank: int = 0
+    anti_flags: tuple[bool, ...] = ()
+
+    def __post_init__(self):
+        if self.rank not in (0, 1, 2, 3):
+            raise ValueError(f"rank must be 0..3, got {self.rank}")
+        object.__setattr__(self, "anti_flags", tuple(bool(b)
+                                                     for b in self.anti_flags))
+        if len(self.anti_flags) != self.rank:
+            raise ValueError(
+                f"need {self.rank} antiperiodicity flags, got "
+                f"{len(self.anti_flags)}")
+
+
+@dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform spatial grid times a uniform time axis, cell-centered.
 
     ``dims`` are spatial cell counts per axis, ``nt`` the number of time
-    slabs.  ``periodic`` marks axes that wrap (quotient generators, pitch 1).
+    slabs.  ``lattice`` is the spin structure: its first ``rank`` axes wrap
+    (quotient generators, pitch 1), with the sign its flags give.
     """
 
     h: float
     dt: float
     dims: tuple[int, int, int]
     nt: int
-    periodic: tuple[bool, bool, bool] = (False, False, False)
+    lattice: LatticeSpec = LatticeSpec()
     t0: float = 0.0
 
     def __post_init__(self):
@@ -60,6 +84,10 @@ class SpaceTimeGrid:
                 raise ValueError(f"axis {d}: need at least 3 nodes, got {n}")
             if n < 1:
                 raise ValueError(f"axis {d}: empty")
+
+    @property
+    def periodic(self) -> tuple[bool, bool, bool]:
+        return tuple(d < self.lattice.rank for d in range(3))
 
     def spacing(self, axis: int) -> float:
         return self.h if axis < 3 else self.dt
@@ -148,11 +176,16 @@ class Field:
     def vector(self) -> np.ndarray:
         return self.values[..., 1:4]
 
+    def _values_of(self, other: "Field") -> np.ndarray:
+        if other.grid != self.grid:
+            raise ValueError("fields live on different grids")
+        return other.values
+
     def __add__(self, other: "Field") -> "Field":
-        return Field(self.values + other.values, self.grid)
+        return Field(self.values + self._values_of(other), self.grid)
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(self.values - other.values, self.grid)
+        return Field(self.values - self._values_of(other), self.grid)
 
     def __mul__(self, scalar: float) -> "Field":
         return Field(self.values * float(scalar), self.grid)
@@ -255,12 +288,11 @@ def _build_domain(grid: SpaceTimeGrid) -> Domain:
 
 def build_box_domain(extent, horizon: float, h: float, dt: float) -> Domain:
     """Axis-aligned box cross [0, horizon]: the rank-0 quotient."""
-    from .lattice import LatticeSpec
     return build_quotient_domain(LatticeSpec(), extent, horizon, h, dt)
 
 
-def build_quotient_domain(spec, free_extent, horizon: float, h: float,
-                          dt: float) -> Domain:
+def build_quotient_domain(spec: LatticeSpec, free_extent, horizon: float,
+                          h: float, dt: float) -> Domain:
     """Quotient of the first ``spec.rank`` axes (unit pitch) times a box.
 
     ``free_extent`` gives the lengths of the ``3 - spec.rank`` free axes.
@@ -278,8 +310,7 @@ def build_quotient_domain(spec, free_extent, horizon: float, h: float,
     dims = tuple(_cells_to_count(e, h, f"extent[{d}]")
                  for d, e in enumerate(extent))
     nt = _cells_to_count(horizon, dt, "horizon")
-    grid = SpaceTimeGrid(h=h, dt=dt, dims=dims, nt=max(nt, 2),
-                         periodic=tuple(d < rank for d in range(3)))
+    grid = SpaceTimeGrid(h=h, dt=dt, dims=dims, nt=max(nt, 2), lattice=spec)
     return _build_domain(grid)
 
 

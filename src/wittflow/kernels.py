@@ -25,7 +25,9 @@ the relative signs (checked at second order by the verify module), and the
 volume-potential reproduction identity fixes the overall sign (the signed
 time jump of the ``fd`` component is what reproduces field values, with
 constant +1 independent of k).  The dual kernel (``k = 1``, opposite
-zero-order sign) flips the sign of the ``f`` bracket.
+zero-order sign) flips the sign of the ``f`` bracket.  One rule,
+``_check_not_singular``, rejects the singular point ``t = 0, x = 0`` (and
+its lattice translates) for the point kernels and the lattice sums alike.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class SpaceTimePoint:
     x: tuple[float, float, float]
     t: float
 
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.x))
-
 
 @dataclass(frozen=True)
 class ConventionRecord:
@@ -115,14 +113,6 @@ def active_convention() -> ConventionRecord:
             "verify.calibrate_convention() (or load a cached record with "
             "kernels.set_convention) before using integral operators")
     return _convention
-
-
-def _fd_power(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    if _convention is not None:
-        return _convention.fd_power
-    return 1
 
 
 def _time_factors(t: np.ndarray, k: float):
@@ -188,18 +178,28 @@ def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
     return out
 
 
+def _check_not_singular(points: np.ndarray, t: float, rank: int = 0) -> None:
+    """Reject points ``(..., 3)`` at time ``t`` on the space-time origin or
+    a translate of it by the rank-``rank`` unit lattice."""
+    if t != 0.0:
+        return
+    offsets = np.array(points, dtype=float)
+    offsets[..., :rank] -= np.round(offsets[..., :rank])
+    if np.any(np.all(offsets == 0.0, axis=-1)):
+        raise ValueError("kernel is singular at a lattice translate of the "
+                         "space-time origin")
+
+
 def fundamental_solution(p: SpaceTimePoint, params: KernelParams) -> np.ndarray:
     """Causal kernel at a single point; rejects the space-time origin."""
-    if p.t == 0.0 and p.radius == 0.0:
-        raise ValueError("kernel is singular at the space-time origin")
+    _check_not_singular(p.x, p.t)
     return fundamental_solution_array(np.asarray(p.x, dtype=float),
                                       np.asarray(p.t, dtype=float), params.k)
 
 
 def dual_fundamental_solution(p: SpaceTimePoint) -> np.ndarray:
     """Kernel of the dual (opposite zero-order sign) operator at k = 1."""
-    if p.t == 0.0 and p.radius == 0.0:
-        raise ValueError("kernel is singular at the space-time origin")
+    _check_not_singular(p.x, p.t)
     return fundamental_solution_array(np.asarray(p.x, dtype=float),
                                       np.asarray(p.t, dtype=float), 1.0,
                                       dual=True)
@@ -209,39 +209,45 @@ _F_BASIS = np.eye(7)[4]
 _FD_BASIS = np.eye(7)[5]
 
 
-def _first_order_terms(u: Field) -> np.ndarray:
-    """sum_j ej * d_j u + f * d_t u for a sampled field, left-multiplied."""
-    out = discrete_spatial_dirac(u).values
-    dt_u = diff_field(u.values, 3, u.grid.dt, False, edge_order=1)
-    out += mul_arrays(_F_BASIS, dt_u)
-    return out
+def _zero_order(sign: int | None, fd_power: int | None) -> tuple[int, int]:
+    """Zero-order sign and exponent: the given ones, else the record's."""
+    if sign is None or fd_power is None:
+        record = active_convention()
+        sign = record.sign if sign is None else sign
+        fd_power = record.fd_power if fd_power is None else fd_power
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return sign, fd_power
 
 
 def apply_parabolic_dirac(u: Field, g: SpaceTimeGrid, params: KernelParams,
-                          sign: int = 1, fd_power: int | None = None) -> Field:
+                          sign: int | None = None,
+                          fd_power: int | None = None) -> Field:
     """Discrete first-order operator acting on a sampled field.
 
     Central second-order differences in space (one-sided second order at
     non-periodic edges), central differences in time with first-order
     one-sided stencils at the end slabs.  Algebra elements multiply from the
-    left.  ``fd_power`` overrides the calibrated zero-order exponent; the
-    default follows the active convention record (exponent 1 before
-    calibration).
+    left.  ``sign`` and ``fd_power`` override the zero-order sign and
+    exponent; each defaults to the active convention record, so the
+    defaults need a calibrated convention.
     """
     if u.grid is not g and u.grid != g:
         raise ValueError("field is sampled on a different grid")
     if min(g.dims) < 3 or g.nt < 2:
         raise ValueError("grid too small for difference stencils")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    kappa = params.k ** _fd_power(fd_power)
-    out = _first_order_terms(u)
+    sign, power = _zero_order(sign, fd_power)
+    kappa = params.k ** power
+    # sum_j ej * d_j u + f * d_t u + sign * k^p * fd * u, left-multiplied
+    dt_u = diff_field(u.values, 3, g.dt, False, edge_order=1)
+    out = discrete_spatial_dirac(u).values
+    out += mul_arrays(_F_BASIS, dt_u)
     out += sign * kappa * mul_arrays(_FD_BASIS, u.values)
     return Field(out, u.grid)
 
 
 def factorization_residual(test: Field, g: SpaceTimeGrid,
-                           params: KernelParams, sign: int = 1,
+                           params: KernelParams, sign: int | None = None,
                            fd_power: int | None = None) -> float:
     """Max-norm defect of D^2 against the generalized heat operator.
 
@@ -249,9 +255,9 @@ def factorization_residual(test: Field, g: SpaceTimeGrid,
     ``-Laplace + sign*c(k)*d_t`` built from narrow central stencils, over the
     interior nodes where every stencil involved is central.  For smooth
     scalar probes the defect is pure spatial discretization error and decays
-    at second order.
+    at second order.  Defaults as in ``apply_parabolic_dirac``.
     """
-    power = _fd_power(fd_power)
+    sign, power = _zero_order(sign, fd_power)
     twice = apply_parabolic_dirac(
         apply_parabolic_dirac(test, g, params, sign, power), g, params, sign,
         power)

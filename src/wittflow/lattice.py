@@ -1,7 +1,8 @@
 """Lattice shells, spin-structure signs, and periodized kernels.
 
-A quotient is described by its rank (how many of the first coordinate axes
-are factored by the unit lattice) and one antiperiodicity flag per generator
+A quotient is described by its ``LatticeSpec`` (the grid's, re-exported
+from ``domain``): its rank (how many of the first coordinate axes are
+factored by the unit lattice) and one antiperiodicity flag per generator
 (the spin structure).  The periodized kernel is the signed sum of kernel
 translates over the sublattice, summed shell by shell in the max-norm so the
 analytic tail bound applies verbatim to the discarded remainder.
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelParams, SpaceTimePoint, fundamental_solution_array
+from .domain import LatticeSpec
+from .kernels import (KernelParams, SpaceTimePoint, _check_not_singular,
+                      fundamental_solution_array)
 
 __all__ = [
     "LatticeSpec",
@@ -32,24 +35,6 @@ MAX_SHELLS = 64
 # Point x shell pairs evaluated per kernel call in the shell sum: large
 # enough to amortize the call, small enough to keep the temporaries in cache.
 _BLOCK_PAIRS = 16384
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Periodization rank and per-generator antiperiodicity flags."""
-
-    rank: int = 0
-    anti_flags: tuple[bool, ...] = ()
-
-    def __post_init__(self):
-        if self.rank not in (0, 1, 2, 3):
-            raise ValueError(f"rank must be 0..3, got {self.rank}")
-        object.__setattr__(self, "anti_flags", tuple(bool(b)
-                                                     for b in self.anti_flags))
-        if len(self.anti_flags) != self.rank:
-            raise ValueError(
-                f"need {self.rank} antiperiodicity flags, got "
-                f"{len(self.anti_flags)}")
 
 
 @dataclass(frozen=True)
@@ -137,19 +122,6 @@ def tail_bound(m_start: int, r: float, t: float,
             raise RuntimeError("tail bound failed to converge")
 
 
-def _check_not_singular(points: np.ndarray, t: float,
-                        spec: LatticeSpec) -> None:
-    """Reject points ``(..., 3)`` at a lattice translate of the space-time
-    origin."""
-    if t != 0.0:
-        return
-    offsets = np.array(points, dtype=float)
-    offsets[..., :spec.rank] -= np.round(offsets[..., :spec.rank])
-    if np.any(np.all(offsets == 0.0, axis=-1)):
-        raise ValueError("kernel is singular at a lattice translate of the "
-                         "space-time origin")
-
-
 def periodized_solution_batch(points: np.ndarray, t: float,
                               params: KernelParams, spec: LatticeSpec,
                               target_tol: float):
@@ -206,7 +178,7 @@ def periodized_fundamental_solution(p: SpaceTimePoint, params: KernelParams,
     requested tolerance; errors out at the shell cap.
     """
     x = np.asarray(p.x, dtype=float)
-    _check_not_singular(x, p.t, spec)
+    _check_not_singular(x, p.t, spec.rank)
     values, tail, shells = periodized_solution_batch(
         x[None, :], p.t, params, spec, target_tol)
     return values[0], tail, shells
@@ -224,7 +196,7 @@ def brute_force_periodized(points: np.ndarray, t: float,
     as in ``periodized_fundamental_solution``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_not_singular(points, t, spec)
+    _check_not_singular(points, t, spec.rank)
     n = len(points)
     if t <= 0.0:
         return np.zeros((n, 7)), 0.0

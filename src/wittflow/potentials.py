@@ -8,7 +8,8 @@ coincident slab, which also removes the singular cell from the quadrature).
 Offsets live on structured ladders, so every operator is a space-time
 convolution with an algebra-valued kernel table, applied through FFTs on
 padded (free) or wrapped (periodized) axes.  Antiperiodic generators are
-handled by doubling the axis with a sign twist.
+handled by doubling the axis with a sign twist.  The spin structure is read
+from the domain grid (``grid.lattice``); the context holds none of its own.
 
 The Bergman projection is computed algebraically from the boundary system
 ``trace o volume o boundary`` restricted to the causally active boundary
@@ -28,7 +29,7 @@ import numpy as np
 
 from .domain import Domain, Field, _check_finite, _faces
 from .kernels import KernelParams, active_convention, fundamental_solution_array
-from .lattice import LatticeSpec, periodized_solution_batch
+from .lattice import periodized_solution_batch
 from .witt_algebra import mul_arrays, mul_matrix, structure_tensor
 
 __all__ = [
@@ -69,8 +70,9 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """Domain, kernel parameter and lattice wiring for the operator stack.
+    """Domain and kernel parameter for the operator stack.
 
+    The spin structure is the domain grid's (``domain.grid.lattice``).
     ``quad_tol`` drives the periodized-kernel shell summation.
     Construction requires a calibrated operator convention.  The context
     owns every kernel table and pseudo-inverse built for it (the Bergman
@@ -80,7 +82,6 @@ class OperatorContext:
 
     domain: Domain
     params: KernelParams
-    lattice: LatticeSpec = dataclass_field(default_factory=LatticeSpec)
     quad_tol: float = 1e-10
     _cache: dict = dataclass_field(default_factory=dict, init=False,
                                    repr=False, compare=False)
@@ -89,13 +90,6 @@ class OperatorContext:
         active_convention()
         if self.quad_tol <= 0:
             raise ValueError("quad_tol must be positive")
-        g = self.domain.grid
-        for d in range(3):
-            expected = d < self.lattice.rank
-            if g.periodic[d] != expected:
-                raise ValueError(
-                    f"axis {d}: grid periodicity {g.periodic[d]} does not "
-                    f"match lattice rank {self.lattice.rank}")
 
     def _cached(self, name: str, build):
         if name not in self._cache:
@@ -104,6 +98,7 @@ class OperatorContext:
 
 
 def _check_field(u: Field, ctx: OperatorContext) -> None:
+    """Refuse a field from another grid, another spin structure included."""
     if u.grid != ctx.domain.grid:
         raise ValueError("field does not live on the context domain")
 
@@ -130,7 +125,7 @@ def _offset_ladders(ctx: OperatorContext):
     """Physical offsets of the kernel tables: a list of the three spatial
     ladders, and the time ladder."""
     g = ctx.domain.grid
-    flags = ctx.lattice.anti_flags + (False,) * (3 - ctx.lattice.rank)
+    flags = g.lattice.anti_flags + (False,) * (3 - g.lattice.rank)
     xo = [_axis_layout(g.dims[d], g.periodic[d], flags[d]) * g.h
           for d in range(3)]
     return xo, _axis_layout(g.nt, False, False) * g.dt
@@ -146,14 +141,15 @@ def _eval_kernel_grid(ctx: OperatorContext, xo: list[np.ndarray],
     pts = np.stack(np.meshgrid(*xo, indexing="ij"), axis=-1)
     flat = pts.reshape(-1, 3)
     out = np.zeros((len(flat), len(t_offsets), 7))
+    spec = ctx.domain.grid.lattice
     for j, s in enumerate(t_offsets):
         if s <= 0.0:
             continue
-        if ctx.lattice.rank == 0:
+        if spec.rank == 0:
             out[:, j, :] = fundamental_solution_array(flat, s, ctx.params.k)
         else:
             vals, _, _ = periodized_solution_batch(
-                flat, float(s), ctx.params, ctx.lattice, ctx.quad_tol)
+                flat, float(s), ctx.params, spec, ctx.quad_tol)
             out[:, j, :] = vals
     return out.reshape(pts.shape[:-1] + (len(t_offsets), 7))
 

@@ -304,16 +304,15 @@ def _composite_transpose(ctx: OperatorContext, w: Field) -> Field:
     return teodorescu_adjoint(inner, ctx)
 
 
-def estimate_constants(ctx: OperatorContext, seed: int = 0,
-                       power_iterations: int = 20,
-                       samples: int = 200) -> tuple[float, float]:
+def estimate_constants(ctx: OperatorContext,
+                       seed: int = 0) -> tuple[float, float]:
     """Operator norm of the velocity composite, and the convective constant.
 
     The first constant is the largest singular value of the composite
     volume-complement-volume map between the discrete L2 and first-order
     Sobolev norms, found by power iteration on the normal operator (20
     iterations or 1e-6 relative stagnation).  The second maximizes the
-    convective quotient over seeded random smooth bump fields and is an
+    convective quotient over 200 seeded random smooth bump fields and is an
     empirical lower bound for the true constant.
     """
     grid = ctx.domain.grid
@@ -322,7 +321,7 @@ def estimate_constants(ctx: OperatorContext, seed: int = 0,
 
     v = Field(rng.standard_normal(grid.shape + (7,)), grid)
     lam = 0.0
-    for _ in range(power_iterations):
+    for _ in range(20):
         av = _composite(ctx, v)
         gav = _sobolev_gram(av)
         z = _composite_transpose(ctx, gav)
@@ -340,7 +339,7 @@ def estimate_constants(ctx: OperatorContext, seed: int = 0,
     c2 = 0.0
     xs, ts = grid.node_positions()
     ext = grid.extent
-    for _ in range(samples):
+    for _ in range(200):
         center = rng.uniform(0.25, 0.75, size=3) * np.asarray(ext)
         width = rng.uniform(0.15, 0.35) * min(ext)
         r2 = np.sum((xs - center) ** 2, axis=-1) / width ** 2

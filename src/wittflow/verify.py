@@ -14,15 +14,14 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import kernels
-from .domain import (Field, build_quotient_domain, discrete_grad,
-                     discrete_norm)
+from .domain import (Field, SpaceTimeGrid, build_quotient_domain,
+                     discrete_grad, discrete_norm)
 from .kernels import (ConventionRecord, KernelParams,
                       apply_parabolic_dirac, fundamental_solution_array)
 from .lattice import (LatticeSpec, brute_force_periodized,
                       periodized_solution_batch)
 from .potentials import (OperatorContext, bergman_projection,
                          boundary_trace, cauchy_transform, teodorescu)
-from .domain import SpaceTimeGrid
 from .witt_algebra import mul_arrays
 
 __all__ = [
@@ -120,15 +119,17 @@ _CALIBRATION_K = 2.0
 
 
 def _stencil_residual(x0, t0, k, h, sign, power) -> float:
-    grid = SpaceTimeGrid(h=h, dt=h, dims=(5, 5, 5), nt=5)
-    offs = (np.arange(5) - 2.0) * h
+    """Operator residual on kernel samples at the center of a 3^4 grid of
+    spacing ``h``, around ``(x0, t0)``; the center reads only neighbours."""
+    grid = SpaceTimeGrid(h=h, dt=h, dims=(3, 3, 3), nt=3)
+    offs = (np.arange(3) - 1.0) * h
     pts = np.stack(np.meshgrid(x0[0] + offs, x0[1] + offs, x0[2] + offs,
                                indexing="ij"), axis=-1)
     vals = fundamental_solution_array(
         pts[..., None, :], t0 + offs[None, None, None, :], k)
     probe = Field(vals, grid)
     image = apply_parabolic_dirac(probe, grid, KernelParams(k), sign, power)
-    return float(np.linalg.norm(image.values[2, 2, 2, 2]))
+    return float(np.linalg.norm(image.values[1, 1, 1, 1]))
 
 
 def _factorization_power(sign: int, power: int) -> int:
@@ -285,14 +286,12 @@ def manufactured_problem(ctx: OperatorContext):
     operator plus the discrete pressure gradient.
     """
     grid = ctx.domain.grid
-    record = kernels.active_convention()
     u_ref = divergence_free_field(grid)
     p_vals = _space_window(grid)[..., None] * _time_window(grid)
     p_vals = p_vals - p_vals.mean()
     p_ref = Field.from_scalar(p_vals, grid)
     twice = apply_parabolic_dirac(
-        apply_parabolic_dirac(u_ref, grid, ctx.params, record.sign),
-        grid, ctx.params, record.sign)
+        apply_parabolic_dirac(u_ref, grid, ctx.params), grid, ctx.params)
     f_vals = np.zeros(grid.shape + (7,))
     f_vals[..., 1:4] = twice.values[..., 1:4]
     forcing = Field(f_vals, grid) + discrete_grad(p_ref)
@@ -307,8 +306,7 @@ _REPRODUCER = np.array([1.0, 0, 0, 0, 0, 0, -1.0])   # fd * f
 
 
 def _bp_level(ctx: OperatorContext, u: Field):
-    record = kernels.active_convention()
-    du = apply_parabolic_dirac(u, ctx.domain.grid, ctx.params, record.sign)
+    du = apply_parabolic_dirac(u, ctx.domain.grid, ctx.params)
     lhs = teodorescu(du, ctx) + cauchy_transform(boundary_trace(u, ctx), ctx)
     nrm = discrete_norm(u, "L2")
     scale = nrm if nrm > 0 else 1.0   # zero fields report absolute residuals
@@ -316,6 +314,10 @@ def _bp_level(ctx: OperatorContext, u: Field):
     target = Field(mul_arrays(_REPRODUCER, u.values), u.grid)
     res_reproducer = discrete_norm(lhs - target, "L2") / scale
     return res_identity, res_reproducer
+
+
+# The flat 3-torus: the default quotient of the studies and checks below.
+_FLAT_TORUS = LatticeSpec(3, (False, False, False))
 
 
 def _study_domains(levels, horizon, lattice: LatticeSpec):
@@ -329,7 +331,7 @@ def _study_domains(levels, horizon, lattice: LatticeSpec):
 
 
 def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
-                        k=1.0, lattice: LatticeSpec | None = None,
+                        k=1.0, lattice: LatticeSpec = LatticeSpec(),
                         preset=scalar_bump_field) -> StudyResult:
     """Residual of the volume/boundary reconstruction against the field.
 
@@ -339,11 +341,10 @@ def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
     reproducing idempotent acting on the field is reported in extras.
     """
     ensure_convention()
-    lattice = lattice or LatticeSpec()
     rows = []
     companion = []
     for dom in _study_domains(levels, horizon, lattice):
-        ctx = OperatorContext(dom, KernelParams(k), lattice)
+        ctx = OperatorContext(dom, KernelParams(k))
         u = preset(dom.grid)
         res_id, res_rep = _bp_level(ctx, u)
         rows.append((dom.grid.h, dom.grid.dt, res_id))
@@ -380,7 +381,7 @@ def volume_reproduction_study(base: StudyResult) -> StudyResult:
 
 def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
                 n_fields: int = 10, seed: int = 7,
-                lattice: LatticeSpec | None = None) -> StudyResult:
+                lattice: LatticeSpec = _FLAT_TORUS) -> StudyResult:
     """Orthogonality defect of the projection pair across refinements.
 
     Runs on the rank-3 quotient by default, where the boundary system is
@@ -389,12 +390,11 @@ def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
     projection numerically zero) are skipped and counted in extras.
     """
     ensure_convention()
-    lattice = lattice or LatticeSpec(3, (False, False, False))
     rows = []
     skipped = 0
     idempotency = []
     for dom in _study_domains(levels, horizon, lattice):
-        ctx = OperatorContext(dom, KernelParams(k), lattice)
+        ctx = OperatorContext(dom, KernelParams(k))
         rng = np.random.default_rng(seed)
         defects = []
         worst_idem = 0.0
@@ -424,7 +424,7 @@ def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
 
 
 def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
-                        k=1.0, lattice: LatticeSpec | None = None) \
+                        k=1.0, lattice: LatticeSpec = _FLAT_TORUS) \
         -> StudyResult:
     """Manufactured-solution recovery error of the linear solve.
 
@@ -435,12 +435,11 @@ def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
     """
     from .solver import NavierStokesProblem, solve_linear
     ensure_convention()
-    lattice = lattice or LatticeSpec(3, (False, False, False))
     rows = []
     p_errors = []
     div_pairs = []
     for dom in _study_domains(levels, horizon, lattice):
-        ctx = OperatorContext(dom, KernelParams(k), lattice)
+        ctx = OperatorContext(dom, KernelParams(k))
         u_ref, p_ref, forcing = manufactured_problem(ctx)
         u, p, _ = solve_linear(NavierStokesProblem(ctx, forcing))
         nrm = discrete_norm(u_ref, "L2")
@@ -470,8 +469,8 @@ def _random_points(rng, n: int) -> np.ndarray:
     return rng.uniform(-0.5, 0.5, size=(n, 3))
 
 
-def lattice_bruteforce_check(points=None, spec: LatticeSpec | None = None,
-                             params: KernelParams | None = None,
+def lattice_bruteforce_check(points=None, spec: LatticeSpec = _FLAT_TORUS,
+                             params: KernelParams = KernelParams(1.0),
                              t: float = 0.5, tol: float = 1e-10,
                              brute_radius: int = 12,
                              seed: int = 3) -> CheckTable:
@@ -480,8 +479,6 @@ def lattice_bruteforce_check(points=None, spec: LatticeSpec | None = None,
     A row passes when the difference is within the sum of the reported
     shell tail and the enumeration's own tail bound.
     """
-    spec = spec or LatticeSpec(3, (False, False, False))
-    params = params or KernelParams(1.0)
     if points is None:
         points = _random_points(np.random.default_rng(seed), 20)
     points = np.atleast_2d(points)
@@ -519,13 +516,13 @@ def factorization_probe(h: float, nt: int = 32):
 
 
 def factorization_study(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32), k: float = 1.0,
-                        sign: int = 1) -> StudyResult:
+                        sign: int | None = None) -> StudyResult:
     """Second-order decay of the factorization defect on a Gaussian preset.
 
     The defect compares the twice-applied first-order operator with the
     narrow-stencil heat operator on a smooth scalar probe; the time terms
     cancel algebraically, so the defect is pure spatial discretization
-    error.
+    error.  ``sign`` defaults to the calibrated convention's.
     """
     from .kernels import factorization_residual
     ensure_convention()
@@ -581,10 +578,9 @@ def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
     """
     from .solver import _forcing_bound, estimate_constants
     ensure_convention()
-    lattice = LatticeSpec(3, (False, False, False))
-    domain = build_quotient_domain(lattice, [], horizon, 1.0 / n,
+    domain = build_quotient_domain(_FLAT_TORUS, [], horizon, 1.0 / n,
                                    horizon / nt)
-    ctx = OperatorContext(domain, KernelParams(k), lattice)
+    ctx = OperatorContext(domain, KernelParams(k))
     c1, c2 = estimate_constants(ctx, seed=seed)
     base = vector_bump_field(domain.grid)
     scale = (load_factor * _forcing_bound(c1, c2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,39 @@ class TestGridValidation:
 
     def test_periodic_axis_may_be_small(self):
         grid = SpaceTimeGrid(h=0.5, dt=0.1, dims=(2, 4, 4), nt=4,
-                             periodic=(True, False, False))
+                             lattice=LatticeSpec(1, (False,)))
         assert grid.dims == (2, 4, 4)
+
+    def test_wrapping_axes_are_read_off_the_spin_structure(self):
+        spec = LatticeSpec(2, (True, False))
+        grid = SpaceTimeGrid(h=0.5, dt=0.1, dims=(2, 2, 4), nt=4,
+                             lattice=spec)
+        assert grid.periodic == (True, True, False)
+        assert build_quotient_domain(spec, [2.0], 0.4, 0.5, 0.1).grid == grid
+        # a wrap pattern that no quotient has cannot be written
+        with pytest.raises(TypeError):
+            SpaceTimeGrid(h=0.5, dt=0.1, dims=(4, 2, 4), nt=4,
+                          periodic=(False, True, False))
+        with pytest.raises(AttributeError):
+            grid.periodic = (False, False, False)
+
+
+class TestFieldArithmetic:
+    def test_sum_and_difference_refuse_another_grid(self):
+        grid = build_quotient_domain(LatticeSpec(3, (False,) * 3), [], 0.5,
+                                     0.25, 0.125).grid
+        twisted = build_quotient_domain(LatticeSpec(3, (True,) * 3), [], 0.5,
+                                        0.25, 0.125).grid
+        coarse = dataclasses.replace(grid, dt=2.0 * grid.dt)
+        u = Field.zeros(grid)
+        for other in (twisted, coarse):
+            assert other.shape == grid.shape
+            with pytest.raises(ValueError, match="different grids"):
+                u + Field.zeros(other)
+            with pytest.raises(ValueError, match="different grids"):
+                u - Field.zeros(other)
+        same = Field.zeros(dataclasses.replace(grid))
+        assert (u + same).grid == grid and (u - same).grid == grid
 
 
 class TestBoxDomain:
@@ -207,8 +240,10 @@ class TestDiscreteOperators:
     def test_gradient_equals_dirac_of_scalar(self, periodic):
         # the gradient is the e-vector part of the Dirac operator applied
         # to the scalar part alone, bit for bit
+        rank = sum(periodic)
         grid = SpaceTimeGrid(h=0.25, dt=0.125, dims=(4, 3, 5), nt=4,
-                             periodic=periodic)
+                             lattice=LatticeSpec(rank, (False,) * rank))
+        assert grid.periodic == periodic
         rng = np.random.default_rng(9)
         p = Field(rng.standard_normal(grid.shape + (7,)), grid)
         dirac = discrete_spatial_dirac(Field.from_scalar(p.scalar(), grid))
@@ -229,7 +264,7 @@ class TestDiscreteOperators:
 
     def test_periodic_translation_invariance(self):
         grid = SpaceTimeGrid(h=0.25, dt=0.25, dims=(4, 4, 4), nt=4,
-                             periodic=(True, True, True))
+                             lattice=LatticeSpec(3, (False,) * 3))
         rng = np.random.default_rng(3)
         u = Field(rng.standard_normal(grid.shape + (7,)), grid)
         du = discrete_spatial_dirac(u)

@@ -246,6 +246,31 @@ class TestConvention:
         res = calibrated_convention.residuals["+1,1"]
         assert all(b < a for a, b in zip(res, res[1:]))
 
+    @pytest.mark.parametrize("sign,power", [(-1, 1), (1, 2), (-1, 2)])
+    def test_defaults_follow_the_record(self, monkeypatch, sign, power):
+        grid = SpaceTimeGrid(h=0.1, dt=0.1, dims=(6, 6, 6), nt=6)
+        u = Field(np.random.default_rng(8).standard_normal(grid.shape + (7,)),
+                  grid)
+        params = KernelParams(1.5)
+        monkeypatch.setattr(kernels, "_convention", kernels.ConventionRecord(
+            fd_power=power, sign=sign, factorization_power=power))
+        want = apply_parabolic_dirac(u, grid, params, sign, power).values
+        got = apply_parabolic_dirac(u, grid, params).values
+        assert got.tobytes() == want.tobytes()
+        assert factorization_residual(u, grid, params) \
+            == factorization_residual(u, grid, params, sign, power)
+
+    def test_defaults_need_a_record(self, monkeypatch):
+        grid = SpaceTimeGrid(h=0.1, dt=0.1, dims=(6, 6, 6), nt=6)
+        monkeypatch.setattr(kernels, "_convention", None)
+        for default in ({}, {"sign": 1}, {"fd_power": 1}):
+            with pytest.raises(RuntimeError, match="calibrat"):
+                apply_parabolic_dirac(Field.zeros(grid), grid,
+                                      KernelParams(1.0), **default)
+        out = apply_parabolic_dirac(Field.zeros(grid), grid, KernelParams(1.0),
+                                    1, 1)
+        assert np.all(out.values == 0.0)
+
     def test_uncalibrated_context_is_an_error(self, monkeypatch):
         from wittflow.domain import build_box_domain
         from wittflow.potentials import OperatorContext

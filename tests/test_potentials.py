@@ -24,20 +24,30 @@ def box_ctx(n=3, nt=3, horizon=0.5, k=1.0):
 def torus_ctx(n=4, nt=8, horizon=0.5, k=1.0, flags=(False, False, False)):
     spec = LatticeSpec(3, flags)
     d = build_quotient_domain(spec, [], horizon, 1.0 / n, horizon / nt)
-    return OperatorContext(d, KernelParams(k), spec)
+    return OperatorContext(d, KernelParams(k))
 
 
 def cylinder_ctx(n=3, nt=3, horizon=0.5, k=1.0, flags=(False,)):
     spec = LatticeSpec(len(flags), flags)
     free = [1.0] * (3 - spec.rank)
     d = build_quotient_domain(spec, free, horizon, 1.0 / n, horizon / nt)
-    return OperatorContext(d, KernelParams(k), spec)
+    return OperatorContext(d, KernelParams(k))
+
+
+def twisted_shift(values, grid, axis):
+    """The grid's unit shift along a periodized axis: one cell forward,
+    with the cell that wraps around negated on an antiperiodic axis."""
+    out = np.roll(values, 1, axis)
+    if grid.lattice.anti_flags[axis]:
+        out[(slice(None),) * axis + (0,)] *= -1.0
+    return out
 
 
 def periodized_eval(ctx):
     def kernel_eval(dz, s):
         vals, _, _ = periodized_solution_batch(dz.reshape(-1, 3), s,
-                                               ctx.params, ctx.lattice,
+                                               ctx.params,
+                                               ctx.domain.grid.lattice,
                                                ctx.quad_tol)
         return vals.reshape(dz.shape[:-1] + (7,))
     return kernel_eval
@@ -138,8 +148,8 @@ class TestVolumePotential:
 
         def kernel_eval(dz, s):
             flat = dz.reshape(-1, 3)
-            vals, _, _ = periodized_solution_batch(flat, s, ctx.params,
-                                                   ctx.lattice, ctx.quad_tol)
+            vals, _, _ = periodized_solution_batch(
+                flat, s, ctx.params, ctx.domain.grid.lattice, ctx.quad_tol)
             return vals.reshape(dz.shape[:-1] + (7,))
         ref = brute_volume(u, ctx, kernel_eval)
         assert np.allclose(fast.values, ref.values, rtol=1e-10, atol=1e-11)
@@ -153,8 +163,8 @@ class TestVolumePotential:
 
         def kernel_eval(dz, s):
             flat = dz.reshape(-1, 3)
-            vals, _, _ = periodized_solution_batch(flat, s, ctx.params,
-                                                   ctx.lattice, ctx.quad_tol)
+            vals, _, _ = periodized_solution_batch(
+                flat, s, ctx.params, ctx.domain.grid.lattice, ctx.quad_tol)
             return vals.reshape(dz.shape[:-1] + (7,))
         ref = brute_volume(u, ctx, kernel_eval)
         assert np.allclose(fast.values, ref.values, rtol=1e-10, atol=1e-11)
@@ -204,6 +214,32 @@ class TestVolumePotential:
         out_shifted = teodorescu(shifted, ctx)
         assert np.allclose(np.roll(out.values, 1, axis=0),
                            out_shifted.values, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("flags", [(False,) * 3, (True,) * 3, (True,),
+                                       (True, False)],
+                             ids=["torus_p", "torus_a", "cylinder_a",
+                                  "cylinder_ap"])
+    def test_commutes_with_twisted_shift(self, flags):
+        # symmetry of the quotient: T commutes with the sign-twisted unit
+        # shift along every periodized axis, to roundoff
+        spec = LatticeSpec(len(flags), flags)
+        nt = 8 if spec.rank == 3 else 6
+        d = build_quotient_domain(spec, [0.75] * (3 - spec.rank), nt * 0.0625,
+                                  0.25, 0.0625)
+        ctx = OperatorContext(d, KernelParams(1.0))
+        g = d.grid
+        u = Field(np.random.default_rng(6).standard_normal(g.shape + (7,)), g)
+        tu = teodorescu(u, ctx).values
+        scale = np.max(np.abs(tu))
+        for axis, anti in enumerate(flags):
+            moved = teodorescu(Field(twisted_shift(u.values, g, axis), g),
+                               ctx).values
+            assert np.max(np.abs(moved - twisted_shift(tu, g, axis))) \
+                <= 1e-14 * scale
+            if anti:
+                # the twist matters: the plain shift does not commute
+                assert np.max(np.abs(moved - np.roll(tu, 1, axis))) \
+                    > 1e-3 * scale
 
     def test_adjoint_identity(self):
         ctx = box_ctx()
@@ -563,11 +599,19 @@ class TestPseudoInverse:
 
 
 class TestContextValidation:
-    def test_periodicity_mismatch(self):
-        d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)
-        with pytest.raises(ValueError, match="periodicity"):
-            OperatorContext(d, KernelParams(1.0),
-                            LatticeSpec(3, (False,) * 3))
+    def test_fields(self):
+        # the spin structure is the grid's; the context states none
+        assert [f.name for f in dataclasses.fields(OperatorContext)
+                if f.init] == ["domain", "params", "quad_tol"]
+
+    def test_refuses_field_of_another_spin_structure(self):
+        ctx = torus_ctx(n=3, nt=3)
+        twisted = build_quotient_domain(LatticeSpec(3, (True,) * 3), [], 0.5,
+                                        1.0 / 3, 0.5 / 3).grid
+        assert twisted.shape == ctx.domain.grid.shape
+        for op in (teodorescu, teodorescu_adjoint, boundary_trace):
+            with pytest.raises(ValueError, match="context domain"):
+                op(Field.zeros(twisted), ctx)
 
     def test_frozen(self):
         # cached tables are built from these fields and must not go stale

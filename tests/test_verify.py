@@ -24,6 +24,29 @@ class TestCalibration:
         assert again.orders == calibrated_convention.orders
         assert again.fd_power == calibrated_convention.fd_power
 
+    def test_stencil_residual_is_the_center_of_a_5_grid(self):
+        # the center node reads only its neighbours, so the 3^4 calibration
+        # grid gives every residual bit for bit as the center of a 5^4 grid
+        from wittflow.domain import SpaceTimeGrid
+        from wittflow.kernels import (apply_parabolic_dirac,
+                                      fundamental_solution_array)
+        k = verify._CALIBRATION_K
+        for sign, power in ((1, 1), (1, 2), (-1, 1), (-1, 2)):
+            for x0, t0 in verify._CALIBRATION_POINTS:
+                for h in verify._CALIBRATION_STENCILS:
+                    grid = SpaceTimeGrid(h=h, dt=h, dims=(5, 5, 5), nt=5)
+                    offs = (np.arange(5) - 2.0) * h
+                    pts = np.stack(np.meshgrid(
+                        x0[0] + offs, x0[1] + offs, x0[2] + offs,
+                        indexing="ij"), axis=-1)
+                    vals = fundamental_solution_array(
+                        pts[..., None, :], t0 + offs[None, None, None, :], k)
+                    image = apply_parabolic_dirac(
+                        Field(vals, grid), grid, KernelParams(k), sign, power)
+                    want = float(np.linalg.norm(image.values[2, 2, 2, 2]))
+                    assert verify._stencil_residual(
+                        x0, t0, k, h, sign, power) == want
+
     def test_record_is_activated(self, calibrated_convention):
         from wittflow import kernels
         assert kernels.convention_is_set()
