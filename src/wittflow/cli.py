@@ -11,6 +11,7 @@ all numerical artifacts are plain CSV or key-value text.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -308,9 +309,15 @@ def cmd_kernel(args) -> int:
         point = tuple(float(v) for v in args.point.split(","))
         if len(point) != 3:
             raise ValueError("need 3 coordinates")
+        if not all(map(math.isfinite, point)):
+            raise ValueError("coordinates must be finite")
     except ValueError as exc:
         print(f"bad --point: {exc}", file=sys.stderr)
         return 2
+    for flag, value in (("--time", args.time), ("--tol", args.tol)):
+        if not math.isfinite(value):
+            print(f"bad {flag}: must be finite, got {value}", file=sys.stderr)
+            return 2
     params = KernelParams(args.k)
     spec = LatticeSpec()
     if args.lattice:

@@ -128,6 +128,40 @@ def _time_factors(t: np.ndarray, k: float):
     return four_t, cube, k / (2.0 * t), four_t * t, 3.0 / (2.0 * t)
 
 
+def _kernel_terms(xs: np.ndarray, factors, k: float, dual: bool = False,
+                  signs: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel's nonzero components (e1, e2, e3, f, fd), component first.
+
+    ``xs`` holds the coordinates first, ``(3, ...)``; ``factors`` are the
+    ``_time_factors`` of times that broadcast against ``xs[0]``.  ``signs``
+    (+-1, broadcasting likewise) multiply the prefactor, which is exact, so
+    each term is bitwise the sign times the unsigned one.  The result has
+    shape ``(5,) + xs.shape[1:]``; ``out`` may be any array (a view, say)
+    of that shape to write it into.  The one formula behind
+    ``fundamental_solution_array`` and the lattice sums.
+    """
+    four_t, cube, k_half_t, four_t2, three_half_t = factors
+    x0, x1, x2 = xs
+    r2 = (x0 * x0 + x1 * x1) + x2 * x2
+    expo = -k * r2 / four_t
+    gauss = np.where(expo >= UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
+    pref = np.sqrt(k) * gauss / cube
+    if signs is not None:
+        pref *= signs
+    bracket = k * r2 / four_t2 - three_half_t
+    if dual:
+        bracket = -bracket
+    terms = np.empty((5,) + pref.shape) if out is None else out
+    # one component at a time: an inner loop of length 3 is slow in numpy
+    gradient = -pref * k_half_t
+    for c in range(3):
+        np.multiply(gradient, xs[c], out=terms[c, ...])
+    np.multiply(pref, bracket, out=terms[3, ...])
+    np.multiply(k, pref, out=terms[4, ...])
+    return terms
+
+
 def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
                                dual: bool = False) -> np.ndarray:
     """Kernel coefficients for arrays of points.
@@ -155,22 +189,9 @@ def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
         live = np.broadcast_to(live, shape)
         xl = np.broadcast_to(x, shape + (3,))[live]
         factors = _time_factors(np.broadcast_to(t, shape)[live], k)
-    four_t, cube, k_half_t, four_t2, three_half_t = factors
-    x0, x1, x2 = xl[..., 0], xl[..., 1], xl[..., 2]
-    r2 = (x0 * x0 + x1 * x1) + x2 * x2
-    expo = -k * r2 / four_t
-    gauss = np.where(expo >= UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
-    pref = np.sqrt(k) * gauss / cube
-    bracket = k * r2 / four_t2 - three_half_t
-    if dual:
-        bracket = -bracket
-    coeffs = np.zeros(pref.shape + (7,))
-    # one component at a time: an inner loop of length 3 is slow in numpy
-    gradient = -pref * k_half_t
-    for c in range(3):
-        coeffs[..., 1 + c] = gradient * xl[..., c]
-    coeffs[..., 4] = pref * bracket
-    coeffs[..., 5] = k * pref
+    terms = _kernel_terms(np.moveaxis(xl, -1, 0), factors, k, dual)
+    coeffs = np.zeros(terms.shape[1:] + (7,))
+    coeffs[..., 1:6] = np.moveaxis(terms, 0, -1)
     if not masked:
         return coeffs
     out = np.zeros(shape + (7,))

@@ -6,6 +6,11 @@ factored by the unit lattice) and one antiperiodicity flag per generator
 (the spin structure).  The periodized kernel is the signed sum of kernel
 translates over the sublattice, summed shell by shell in the max-norm so the
 analytic tail bound applies verbatim to the discarded remainder.
+
+Each point adds the terms of a shell one after the other in lex order, then
+adds the shell's sum to its running total; that order fixes every bit of
+the tables.  The terms come from ``kernels._kernel_terms``, the kernel's one
+formula, with the spin-structure sign folded into the prefactor (exact).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 
 from .domain import LatticeSpec
 from .kernels import (KernelParams, SpaceTimePoint, _check_not_singular,
+                      _kernel_terms, _time_factors,
                       fundamental_solution_array)
 
 __all__ = [
@@ -32,8 +38,9 @@ __all__ = [
 
 MAX_SHELLS = 64
 
-# Point x shell pairs evaluated per kernel call in the shell sum: large
-# enough to amortize the call, small enough to keep the temporaries in cache.
+# Shell term x point pairs evaluated per kernel call in the shell sum:
+# large enough to amortize the call, small enough to keep the temporaries in
+# cache (twice as many ran 1.7x slower on the antiperiodic 4^3x8 torus).
 _BLOCK_PAIRS = 16384
 
 
@@ -98,6 +105,8 @@ def tail_bound(m_start: int, r: float, t: float,
     closes the remainder with a geometric bound; the term ratio is
     decreasing in m once m exceeds r, so the closure is rigorous.
     """
+    if not (np.isfinite(r) and np.isfinite(t)):
+        raise ValueError("tail bound requires a finite radius and time")
     if t <= 0:
         raise ValueError("tail bound requires t > 0")
     if r < 0:
@@ -122,6 +131,12 @@ def tail_bound(m_start: int, r: float, t: float,
             raise RuntimeError("tail bound failed to converge")
 
 
+def _check_finite_inputs(points: np.ndarray, t: float) -> None:
+    """Refuse non-finite points or time before any shell is planned."""
+    if not (np.all(np.isfinite(points)) and np.isfinite(t)):
+        raise ValueError("kernel points and time must be finite")
+
+
 def periodized_solution_batch(points: np.ndarray, t: float,
                               params: KernelParams, spec: LatticeSpec,
                               target_tol: float):
@@ -129,13 +144,15 @@ def periodized_solution_batch(points: np.ndarray, t: float,
 
     Returns (values (n, 7), tail_estimate, shells_used); all points share
     the shell schedule, and the tail is bounded with the largest point
-    radius.  Points are assumed non-singular.
+    radius.  Points are assumed non-singular; non-finite points, time or
+    tolerance are refused with ``ValueError``.  An empty batch sums nothing.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if target_tol <= 0:
-        raise ValueError("target tolerance must be positive")
+    _check_finite_inputs(points, t)
+    if not (target_tol > 0 and np.isfinite(target_tol)):
+        raise ValueError("target tolerance must be positive and finite")
     n = len(points)
-    if t <= 0.0:
+    if t <= 0.0 or n == 0:
         return np.zeros((n, 7)), 0.0, 0
     if spec.rank == 0:
         return fundamental_solution_array(points, t, params.k), 0.0, 1
@@ -150,23 +167,33 @@ def periodized_solution_batch(points: np.ndarray, t: float,
         raise RuntimeError(
             f"periodized kernel did not reach tolerance {target_tol} within "
             f"{MAX_SHELLS} shells")
-    value = np.zeros((n, 7))
-    # coordinates lead, so that each shifted coordinate is one contiguous
-    # add over the shell instead of an inner loop of length 3
-    coords = points.T
+    factors = _time_factors(np.atleast_1d(t), params.k)
+    out = np.zeros((n, 7))
+    # coordinates lead and points trail, so that each shifted coordinate is
+    # one broadcast add with long inner loops
+    coords = np.ascontiguousarray(points.T)[:, None, :]
+    step = max(1, _BLOCK_PAIRS // n)
     for m in range(last + 1):
         shell = shell_points(m, spec)
-        signs = _signs_of(shell.points, spec)
-        offsets = shell.points.T.astype(float)
-        rows = max(1, _BLOCK_PAIRS // len(shell))
-        # each point sums its own shells in the same order whatever the
-        # block, so the blocking leaves every value bitwise unchanged
-        for a in range(0, n, rows):
-            shifted = coords[:, a:a + rows, None] + offsets[:, None, :]
-            contrib = fundamental_solution_array(
-                np.moveaxis(shifted, 0, -1), t, params.k)
-            value[a:a + rows] += np.einsum("j,ijc->ic", signs, contrib)
-    return value, tail, last + 1
+        signs = _signs_of(shell.points, spec)[:, None]
+        offsets = shell.points.T.astype(float)[:, :, None]
+        # shell terms first, summed by one reduction over the leading axis:
+        # it adds them one after the other in lex order for every
+        # (component, point) together.  Each chunk after the first carries
+        # the running shell sum in as its leading row, so the chunking
+        # leaves that order, and every bit, unchanged.
+        total = np.zeros((0, 5, n))
+        for a in range(0, len(shell), step):
+            chunk = slice(a, a + step)
+            lead = len(total)
+            terms = np.empty((lead + len(signs[chunk]), 5, n))
+            terms[:lead] = total
+            _kernel_terms(coords + offsets[:, chunk], factors, params.k,
+                          signs=signs[chunk],
+                          out=np.moveaxis(terms[lead:], 1, 0))
+            total = np.add.reduce(terms, axis=0, keepdims=True)
+        out[:, 1:6] += total[0].T
+    return out, tail, last + 1
 
 
 def periodized_fundamental_solution(p: SpaceTimePoint, params: KernelParams,
@@ -192,13 +219,14 @@ def brute_force_periodized(points: np.ndarray, t: float,
     Returns (values, own_tail_bound); used to validate the shell-summed
     implementation against an independent enumeration.  The tail bound is
     infinite when ``radius + 1`` does not exceed the largest point radius,
-    where the analytic bound does not apply.  Singular points are rejected,
-    as in ``periodized_fundamental_solution``.
+    where the analytic bound does not apply.  Singular and non-finite
+    points are rejected, as in ``periodized_fundamental_solution``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_finite_inputs(points, t)
     _check_not_singular(points, t, spec.rank)
     n = len(points)
-    if t <= 0.0:
+    if t <= 0.0 or n == 0:
         return np.zeros((n, 7)), 0.0
     value = np.zeros((n, 7))
     for m in range(radius + 1):

@@ -186,6 +186,12 @@ class _Convolution:
     terms would add exact zeros, and every kept operation runs on the same
     operands in the same order, so the result is bitwise that of the dense
     contraction of one probe at a time.
+
+    The transforms skip lines too: the forward one never transforms a line
+    that is all zero padding, and the inverse one never transforms a line
+    that the crop to ``data_shape`` discards.  They keep numpy's ``rfftn``
+    and ``irfftn`` axis orders, so every kept line is bitwise the one the
+    full zero-embedded transforms give.
     """
 
     def __init__(self, table: np.ndarray, data_shape):
@@ -209,20 +215,33 @@ class _Convolution:
         """rfftn of origin-embedded data with ``lead`` leading batch axes.
 
         The last axis of ``values`` holds components; the result has them
-        first.
+        first.  numpy's own axis order (the last axis by rfft, then the
+        others from the second-to-last down), but each axis is zero padded
+        by its own transform, so only lines that can be nonzero are
+        transformed.
         """
-        full = np.zeros(values.shape[:lead] + self.fft_shape
-                        + values.shape[-1:])
-        full[(slice(None),) * lead
-             + tuple(slice(n) for n in self.data_shape)] = values
-        return np.fft.rfftn(np.moveaxis(full, -1, 0), s=self.fft_shape,
-                            axes=self._axes(lead))
+        axes = self._axes(lead)
+        # contiguous first: rfft of a strided input is slower
+        data = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+        spectra = np.fft.rfft(data, n=self.fft_shape[-1], axis=axes[-1])
+        for axis, n in zip(axes[-2::-1], self.fft_shape[-2::-1]):
+            spectra = np.fft.fft(spectra, n=n, axis=axis)
+        return spectra
 
     def _crop(self, r_hat: np.ndarray, lead: int) -> np.ndarray:
-        r = np.fft.irfftn(r_hat, s=self.fft_shape, axes=self._axes(lead))
-        crop = (slice(None),) * (lead + 1) + tuple(
-            slice(n) for n in self.data_shape)
-        return np.moveaxis(r[crop], 0, -1)
+        """irfftn of component-first spectra, cropped to ``data_shape``.
+
+        numpy's own axis order (ifft from the first axis up, then irfft on
+        the last), with each axis cropped right after its transform, so
+        lines the crop would discard are never transformed.
+        """
+        axes = self._axes(lead)
+        r = r_hat
+        for axis, n, keep in zip(axes, self.fft_shape, self.data_shape):
+            inverse = np.fft.irfft if axis == axes[-1] else np.fft.ifft
+            r = inverse(r, n=n, axis=axis)[(slice(None),) * axis
+                                           + (slice(keep),)]
+        return np.moveaxis(r, 0, -1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """(m,) + data_shape + (7,) -> (m, L) + data_shape + (7,)."""

@@ -239,6 +239,23 @@ class TestCommands:
         assert cli.main(["kernel", "--point", "0.3,0.2", "--time", "0.5",
                          "--k", "1.0"]) == 2
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--point", ["--point", "inf,0,0", "--time", "0.5"]),
+        ("--point", ["--point", "0.1,nan,0", "--time", "0.5",
+                     "--lattice", "3"]),
+        ("--time", ["--point", "0.1,0,0", "--time", "nan"]),
+        ("--time", ["--point", "0.1,0,0", "--time", "nan",
+                    "--lattice", "3"]),
+        ("--time", ["--point", "0.1,0,0", "--time", "inf",
+                    "--lattice", "1,true", "--shells", "2"]),
+        ("--tol", ["--point", "0.1,0,0", "--time", "0.5", "--tol", "nan",
+                   "--lattice", "3"])])
+    def test_kernel_non_finite_input_exit_2(self, flag, args, capsys):
+        assert cli.main(["kernel", "--k", "1"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"bad {flag}:")
+        assert "finite" in captured.err and captured.out == ""
+
     def test_solve_zero_forcing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"forcing.preset": "zero"})
         rc = cli.main(["solve", "--config", cfg])

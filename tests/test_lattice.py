@@ -105,6 +105,12 @@ class TestTailBound:
         with pytest.raises(ValueError):
             tail_bound(3, 1.0, 0.0, KernelParams(1.0))
 
+    @pytest.mark.parametrize("r, t", [(np.nan, 0.5), (np.inf, 0.5),
+                                      (0.5, np.nan), (0.5, np.inf)])
+    def test_non_finite_input_refused(self, r, t):
+        with pytest.raises(ValueError, match="finite"):
+            tail_bound(3, r, t, KernelParams(1.0))
+
     def test_bound_dominates_measured_tail(self):
         # discarded mass beyond shell 6, measured by exhaustive summation
         params = KernelParams(1.0)
@@ -199,6 +205,62 @@ class TestPeriodized:
                     shifted, np.full(shifted.shape[:-1], t), params.k)
                 want += np.einsum("j,ijc->ic", signs, contrib)
             assert np.array_equal(value, want)
+
+    def test_torus_ladder_is_bitwise_einsum_per_shell(self):
+        # the regime of the antiperiodic 4^3x8 torus tables: every
+        # doubled-axis ladder offset 0..1.75 at the latest time 0.4375,
+        # where the sum runs to 11 shells of up to 2402 terms each
+        spec = LatticeSpec(3, (True, True, True))
+        params = KernelParams(1.0)
+        t = 0.4375
+        ladder = np.arange(8) * 0.25
+        points = np.stack(np.meshgrid(ladder, ladder, ladder, indexing="ij"),
+                          axis=-1).reshape(-1, 3)
+        value, _, shells = periodized_solution_batch(points, t, params,
+                                                     spec, 1e-10)
+        assert shells == 11
+        want = np.zeros((len(points), 7))
+        for m in range(shells):
+            omegas = lexicographic_shell(m, spec.rank)
+            signs = np.array([sign_of(w, spec) for w in omegas], float)
+            # points in blocks only to bound the reference's memory: each
+            # point's sum is the same whatever its block
+            for a in range(0, len(points), 64):
+                shifted = points[a:a + 64, None, :] + omegas[None, :, :]
+                contrib = fundamental_solution_array(
+                    shifted, np.full(shifted.shape[:-1], t), params.k)
+                want[a:a + 64] += np.einsum("j,ijc->ic", signs, contrib)
+        assert value.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(), LatticeSpec(1, (True,)), RANK3], ids=str)
+    def test_empty_batch(self, spec):
+        params = KernelParams(1.0)
+        value, tail, shells = periodized_solution_batch(
+            np.zeros((0, 3)), 0.5, params, spec, 1e-10)
+        assert value.shape == (0, 7) and tail == 0.0 and shells == 0
+        value, tail = brute_force_periodized(np.zeros((0, 3)), 0.5, params,
+                                             spec, radius=2)
+        assert value.shape == (0, 7) and tail == 0.0
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(), RANK3], ids=str)
+    @pytest.mark.parametrize("point, t", [
+        ((np.inf, 0.0, 0.0), 0.5), ((0.1, np.nan, 0.0), 0.5),
+        ((0.1, 0.0, 0.0), np.nan), ((0.1, 0.0, 0.0), np.inf),
+        ((0.1, 0.0, 0.0), -np.inf)])
+    def test_non_finite_input_refused(self, spec, point, t):
+        params = KernelParams(1.0)
+        x = np.array([point])
+        with pytest.raises(ValueError, match="finite"):
+            periodized_solution_batch(x, t, params, spec, 1e-10)
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_periodized(x, t, params, spec, radius=2)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_refused(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            periodized_solution_batch(np.full((1, 3), 0.1), 0.5,
+                                      KernelParams(1.0), RANK3, tol)
 
     def test_shell_cap_error(self):
         # an absurd tolerance cannot be reached within the shell cap

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -564,6 +566,94 @@ class TestBlocks:
         for block in (1, 3, n + 4):
             a = _assemble(partial(_bergman_columns, ctx), n, block)
             assert a.tobytes() == want.tobytes()
+
+
+def embedded_forward(conv, values, lead):
+    """Spectra the plain way: zero-embed the data in the full FFT box and
+    transform every line of it with one ``rfftn``."""
+    full = np.zeros(values.shape[:lead] + conv.fft_shape
+                    + values.shape[-1:])
+    full[(slice(None),) * lead
+         + tuple(slice(n) for n in conv.data_shape)] = values
+    return np.fft.rfftn(np.moveaxis(full, -1, 0), s=conv.fft_shape,
+                        axes=conv._axes(lead))
+
+
+def embedded_crop(conv, r_hat, lead):
+    """Inverse the plain way: one ``irfftn`` of the full box, then crop."""
+    r = np.fft.irfftn(r_hat, s=conv.fft_shape, axes=conv._axes(lead))
+    crop = (slice(None),) * (lead + 1) + tuple(
+        slice(n) for n in conv.data_shape)
+    return np.moveaxis(r[crop], 0, -1)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+PRUNED_GEOMETRIES = {
+    "box_3x6": lambda: OperatorContext(
+        build_box_domain((0.75,) * 3, 0.375, 0.25, 0.0625),
+        KernelParams(1.0)),
+    "cylinder_ap": lambda: cylinder_ctx(flags=(True, False)),
+    "torus_p_4x8": lambda: torus_ctx(),
+    "torus_a_4x8": lambda: torus_ctx(flags=(True, True, True)),
+}
+
+
+@functools.cache
+def pruned_ctx(name):
+    return PRUNED_GEOMETRIES[name]()
+
+
+class TestPrunedTransforms:
+    """The convolutions transform only lines that can be nonzero and that
+    the crop keeps; every kept line must come out bitwise as in the full
+    zero-embedded transforms."""
+
+    @pytest.mark.parametrize("name", sorted(PRUNED_GEOMETRIES))
+    def test_transforms_match_embedded(self, name):
+        from wittflow.potentials import _face_groups, _volume_conv
+        ctx = pruned_ctx(name)
+        rng = np.random.default_rng(17)
+        for conv in [_volume_conv(ctx)] + [
+                g.conv for g in _face_groups(ctx)]:
+            shape = conv.data_shape + (7,)
+            values = rng.standard_normal((3,) + shape)
+            assert_bitwise(conv._forward(values, 1),
+                           embedded_forward(conv, values, 1))
+            spectrum = (1, 2) + conv.k_hat.shape[1:]
+            r_hat = (rng.standard_normal(spectrum)
+                     + 1j * rng.standard_normal(spectrum))
+            assert_bitwise(conv._crop(r_hat, 2),
+                           embedded_crop(conv, r_hat, 2))
+
+    @pytest.mark.parametrize("name", sorted(PRUNED_GEOMETRIES))
+    def test_apply_and_transpose_match_embedded(self, name):
+        from wittflow.potentials import _face_groups, _volume_conv
+        ctx = pruned_ctx(name)
+        rng = np.random.default_rng(18)
+        for conv in [_volume_conv(ctx)] + [
+                g.conv for g in _face_groups(ctx)]:
+            plain = copy.copy(conv)
+            plain._forward = functools.partial(embedded_forward, conv)
+            plain._crop = functools.partial(embedded_crop, conv)
+            shape = conv.data_shape + (7,)
+            layers = conv.k_hat.shape[1]
+            one_hot = np.zeros((7,) + shape)
+            for c in range(7):
+                where = tuple(rng.integers(n) for n in conv.data_shape)
+                one_hot[(c,) + where + (c,)] = 1.0
+            dense = rng.standard_normal((2,) + shape)
+            for block in (one_hot, dense):
+                assert_bitwise(conv.apply(block), plain.apply(block))
+            w_one_hot = np.zeros((layers,) + shape)
+            w_one_hot[tuple(rng.integers(n) for n in w_one_hot.shape)] = 1.0
+            w_dense = rng.standard_normal((layers,) + shape)
+            for w in (w_one_hot, w_dense):
+                assert_bitwise(conv.apply_transpose(w),
+                               plain.apply_transpose(w))
 
 
 class TestPseudoInverse:
