@@ -188,9 +188,11 @@ def load_config(path: str) -> RunConfig:
         quad_tol=_get(entries, "quad.tol", path, float, default=1e-10),
         output_dir=_get(entries, "output.dir", path, default="out"),
     )
-    for name in ("h", "dt", "horizon", "k"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{path}: {name} must be positive")
+    for name in ("h", "dt", "horizon", "k", "quad_tol"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{path}: {name} must be positive and finite, "
+                              f"got {value}")
     return cfg
 
 

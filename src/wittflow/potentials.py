@@ -48,6 +48,9 @@ __all__ = [
 
 _STRUCTURE = structure_tensor()
 
+# Every algebra component: the default output set of the block operators.
+_ALL = tuple(range(7))
+
 
 @dataclass
 class BoundaryData:
@@ -88,8 +91,8 @@ class OperatorContext:
 
     def __post_init__(self):
         active_convention()
-        if self.quad_tol <= 0:
-            raise ValueError("quad_tol must be positive")
+        if not (self.quad_tol > 0 and np.isfinite(self.quad_tol)):
+            raise ValueError("quad_tol must be positive and finite")
 
     def _cached(self, name: str, build):
         if name not in self._cache:
@@ -192,6 +195,11 @@ class _Convolution:
     that the crop to ``data_shape`` discards.  They keep numpy's ``rfftn``
     and ``irfftn`` axis orders, so every kept line is bitwise the one the
     full zero-embedded transforms give.
+
+    ``apply`` also takes the output components its caller reads (``keep``):
+    the pairs are cut to those that reach a kept component, and the other
+    components come back as exact zeros.  A kept component gets the same
+    terms in the same order as without the cut, so it is bitwise unchanged.
     """
 
     def __init__(self, table: np.ndarray, data_shape):
@@ -243,16 +251,19 @@ class _Convolution:
                                            + (slice(keep),)]
         return np.moveaxis(r, 0, -1)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """(m,) + data_shape + (7,) -> (m, L) + data_shape + (7,)."""
+    def apply(self, values: np.ndarray, keep=_ALL) -> np.ndarray:
+        """(m,) + data_shape + (7,) -> (m, L) + data_shape + (7,); output
+        components outside ``keep`` are exact zeros."""
         spectrum = self.k_hat.shape[1:]
         out = np.zeros((len(values),) + spectrum[:1] + self.data_shape
                        + (7,))
+        kept = {pair: [(c, op) for c, op in outs if c in keep]
+                for pair, outs in self.pairs.items()}
         live = np.any(values, axis=tuple(range(1, values.ndim - 1)))
         signatures, which = np.unique(live, axis=0, return_inverse=True)
         for signature, sig_live in enumerate(signatures):
-            pairs = [(a, b, outs) for (a, b), outs in self.pairs.items()
-                     if sig_live[b]]
+            pairs = [(a, b, outs) for (a, b), outs in kept.items()
+                     if sig_live[b] and outs]
             reached = sorted({c for _, _, outs in pairs for c, _ in outs})
             if not reached:
                 continue
@@ -302,12 +313,14 @@ def _active_slabs(values: np.ndarray) -> np.ndarray:
     return np.any(values != 0.0, axis=(1, 2, 3, 5))
 
 
-def _teodorescu(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+def _teodorescu(values: np.ndarray, ctx: OperatorContext,
+                keep=_ALL) -> np.ndarray:
     """Volume potential of a block of fields ``(m, *grid.shape, 7)``.
 
     Output slabs at or before each field's first active slab are exact
     zeros.  A field whose first active slab is the last one (or that is
-    zero) is therefore all zeros and is not transformed.
+    zero) is therefore all zeros and is not transformed.  Only the output
+    components in ``keep`` are computed; the others are exact zeros.
     """
     g = ctx.domain.grid
     active = _active_slabs(values)
@@ -315,7 +328,7 @@ def _teodorescu(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
     out = np.zeros(values.shape)
     run = np.flatnonzero(first < g.nt - 1)
     if len(run):
-        out[run] = _volume_conv(ctx).apply(values[run])[:, 0]
+        out[run] = _volume_conv(ctx).apply(values[run], keep)[:, 0]
     out *= g.cell_volume
     np.moveaxis(out, -2, 1)[np.arange(g.nt) <= first[:, None]] = 0.0
     return out
@@ -404,13 +417,15 @@ def _check_boundary_data(bd: BoundaryData, ctx: OperatorContext):
         raise ValueError("boundary data does not match the context domain")
 
 
-def _cauchy(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+def _cauchy(values: np.ndarray, ctx: OperatorContext,
+            keep=_ALL) -> np.ndarray:
     """Boundary potential of a block of densities ``(m, n_boundary, 7)``.
 
     A face family is skipped for every density whose weighted values on it
     are exactly zero: its convolution would add exact zeros.  A Bergman
     column lives on a single family, so this saves all but one of the
-    family convolutions there.
+    family convolutions there.  Only the output components in ``keep`` are
+    computed; the others are exact zeros.
     """
     d = ctx.domain
     sigma_bd = mul_arrays(d.b_conormal, values) * d.b_weight[:, None]
@@ -422,7 +437,7 @@ def _cauchy(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
             continue
         density = np.zeros((len(live),) + group.conv.data_shape + (7,))
         density[(slice(None),) + group.slot] = sigma[live]
-        out[live] += np.moveaxis(group.conv.apply(density), 1,
+        out[live] += np.moveaxis(group.conv.apply(density, keep), 1,
                                  1 + group.axis)
     return out
 
@@ -597,25 +612,35 @@ def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
         _probe_block(ctx)))
 
 
-def _bergman_projection(values: np.ndarray,
-                        ctx: OperatorContext) -> np.ndarray:
+def _bergman_projection(values: np.ndarray, ctx: OperatorContext,
+                        keep=_ALL) -> np.ndarray:
     """Bergman projection of a block of fields ``(m, *grid.shape, 7)``.
 
     Each field is solved on its own (one GEMV per field): a block solve by
     GEMM would round differently, and the box pressure amplifies a 1e-15
-    relative change in this projection to 2e-8.
+    relative change in this projection to 2e-8.  The density solve reads
+    every component of the traced volume potential; only the boundary
+    potential it feeds is cut to the output components in ``keep`` (the
+    others are exact zeros).
     """
     fac = _bergman_factorization(ctx)
     z = np.stack([fac.solve(b) for b in _trace_volume(values, ctx)])
-    return _check_finite(_cauchy(_active_density(z, ctx), ctx))
+    return _check_finite(_cauchy(_active_density(z, ctx), ctx, keep))
 
 
-def _complement_volume(values: np.ndarray,
-                       ctx: OperatorContext) -> np.ndarray:
+def _complement_volume(values: np.ndarray, ctx: OperatorContext,
+                       keep=_ALL) -> np.ndarray:
     """Bergman complement of the volume potential, Q T, on a block of
-    fields ``(m, *grid.shape, 7)``."""
+    fields ``(m, *grid.shape, 7)``.
+
+    The projection needs the whole volume potential, so ``T`` is computed
+    in full; the projection's boundary potential and the result are cut to
+    the output components in ``keep``, and the others are exact zeros.
+    """
     v = _check_finite(_teodorescu(values, ctx))
-    return _check_finite(v - _bergman_projection(v, ctx))
+    out = v - _bergman_projection(v, ctx, keep)
+    out[..., [c not in keep for c in _ALL]] = 0.0
+    return _check_finite(out)
 
 
 def bergman_projection(u: Field, ctx: OperatorContext) -> Field:

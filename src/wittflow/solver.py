@@ -28,8 +28,9 @@ import numpy as np
 from .domain import (Field, _check_finite, _forward_gap_diffs, _grad,
                      diff_field, discrete_grad, discrete_norm)
 from .potentials import (OperatorContext, _complement_volume, _probe_block,
-                         _pseudo_inverse, bergman_projection_adjoint,
-                         teodorescu, teodorescu_adjoint)
+                         _pseudo_inverse, _teodorescu,
+                         bergman_projection_adjoint, teodorescu,
+                         teodorescu_adjoint)
 
 __all__ = [
     "NavierStokesProblem",
@@ -46,6 +47,10 @@ __all__ = [
 
 # Largest pressure system (one unknown per grid cell) the dense solve takes.
 MAX_PRESSURE_CELLS = 4000
+
+# Algebra components the pressure (scalar) and velocity (e-vector) read.
+_SCALAR = (0,)
+_VECTOR = (1, 2, 3)
 
 
 class SolverDivergence(RuntimeError):
@@ -137,13 +142,13 @@ def _pressure_apply(ctx: OperatorContext, p_flat: np.ndarray) -> np.ndarray:
     of flat pressures ``(m, n_cells)``."""
     grid = ctx.domain.grid
     p = _check_finite(_zero_mean(p_flat)).reshape((-1,) + grid.shape)
-    w = _complement_volume(_check_finite(_grad(p, grid)), ctx)
+    w = _complement_volume(_check_finite(_grad(p, grid)), ctx, _SCALAR)
     return _zero_mean(w[..., 0].reshape(len(p_flat), -1))
 
 
 def _pressure_rhs(ctx: OperatorContext, g_field: Field) -> np.ndarray:
     """Flat right side Re(Q T g) of the pressure system, zero-mean."""
-    w = _complement_volume(g_field.values[None], ctx)
+    w = _complement_volume(g_field.values[None], ctx, _SCALAR)
     return _zero_mean(w[0, ..., 0].reshape(-1))
 
 
@@ -167,10 +172,12 @@ def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
     The composite volume-complement-volume map is evaluated operator by
     operator; its e-vector part is the velocity iterate (the algebra's
     degenerate cross products shed small non-vector byproducts that have no
-    velocity interpretation).
+    velocity interpretation), so the last volume potential computes only
+    that part.
     """
-    w = _composite(ctx, g_field)
-    return Field.from_vector(w.vector(), w.grid)
+    w = _complement_volume(g_field.values[None], ctx)
+    u = _teodorescu(w, ctx, _VECTOR)[0]
+    return Field.from_vector(u[..., 1:4], g_field.grid)
 
 
 def solve_linear(prob: NavierStokesProblem):

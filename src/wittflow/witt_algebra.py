@@ -84,12 +84,8 @@ def mul_matrix(a: np.ndarray) -> np.ndarray:
 
 def structure_tensor() -> np.ndarray:
     """Tensor C with mul(a, b)[c] == sum_ij C[i, j, c] a[i] b[j]."""
-    c = np.zeros((7, 7, 7))
     eye = np.eye(7)
-    for i in range(7):
-        for j in range(7):
-            c[i, j] = mul_arrays(eye[i], eye[j])
-    return c
+    return mul_arrays(eye[:, None], eye[None, :])
 
 
 @dataclass(frozen=True)

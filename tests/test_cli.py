@@ -72,6 +72,15 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="positive"):
             cli.load_config(cfg)
 
+    @pytest.mark.parametrize("key", ["grid.h", "grid.dt", "time.horizon",
+                                     "kernel.k", "quad.tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_parameters(self, tmp_path, key, value):
+        # nan compares false with 0, so "<= 0" alone lets it through
+        cfg = write_config(tmp_path, **{key: value})
+        with pytest.raises(cli.ConfigError, match="positive and finite"):
+            cli.load_config(cfg)
+
     def test_anti_flags(self, tmp_path):
         cfg = write_config(tmp_path,
                            **{"lattice.anti_flags": "true,false,true"})
@@ -274,6 +283,21 @@ class TestCommands:
         path.write_text("domain.kind = pretzel\ngrid.h = 0.1\n"
                         "grid.dt = 0.1\ntime.horizon = 1\nkernel.k = 1\n")
         assert cli.main(["solve", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", ["grid.dt", "quad.tol"])
+    def test_solve_non_finite_config_exit_2(self, tmp_path, key, capsys):
+        # the box_linear geometry: a nan time step used to fail as a
+        # numerical error (exit 3), and the box never reads quad.tol, so a
+        # nan tolerance used to solve and exit 0
+        path = tmp_path / "box.cfg"
+        path.write_text(
+            "domain.kind = box\ndomain.extent = 0.75,0.75,0.75\n"
+            "grid.h = 0.25\ngrid.dt = 0.0625\ntime.horizon = 0.375\n"
+            "kernel.k = 1.0\nquad.tol = 1e-10\n"
+            f"output.dir = {tmp_path / 'out'}\n{key} = nan\n")
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_constants_verdict_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -656,6 +656,55 @@ class TestPrunedTransforms:
                                plain.apply_transpose(w))
 
 
+class TestKeptComponents:
+    """Operators asked for some output components compute those bitwise as
+    in the full result, and leave exact zeros in the others."""
+
+    KEEPS = [(0,), (1, 2, 3), (4, 6)]
+
+    @staticmethod
+    def assert_kept(got, full, keep):
+        dropped = [c for c in range(7) if c not in keep]
+        assert_bitwise(got[..., list(keep)], full[..., list(keep)])
+        assert got.shape == full.shape
+        assert np.all(got[..., dropped] == 0.0)
+        assert not np.signbit(got[..., dropped]).any()
+
+    @pytest.mark.parametrize("name", sorted(PRUNED_GEOMETRIES))
+    def test_convolution_apply(self, name):
+        from wittflow.potentials import _face_groups, _volume_conv
+        ctx = pruned_ctx(name)
+        rng = np.random.default_rng(19)
+        for conv in [_volume_conv(ctx)] + [
+                g.conv for g in _face_groups(ctx)]:
+            shape = conv.data_shape + (7,)
+            block = np.zeros((4,) + shape)
+            block[0] = rng.standard_normal(shape)
+            block[1][..., [1, 2, 3]] = rng.standard_normal(
+                shape[:-1] + (3,))
+            block[2][(0,) * len(conv.data_shape) + (5,)] = 1.0
+            block[3][..., 0] = rng.standard_normal(shape[:-1])
+            full = conv.apply(block)
+            for keep in self.KEEPS:
+                self.assert_kept(conv.apply(block, keep), full, keep)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_GEOMETRIES))
+    def test_block_operators(self, name):
+        from wittflow.potentials import (_bergman_projection, _cauchy,
+                                         _complement_volume, _teodorescu)
+        ctx = BLOCK_GEOMETRIES[name]()
+        d = ctx.domain
+        rng = np.random.default_rng(20)
+        u = rng.standard_normal((2,) + d.grid.shape + (7,))
+        bd = rng.standard_normal((2, d.n_boundary, 7))
+        for op, data in ((_teodorescu, u), (_cauchy, bd),
+                         (_bergman_projection, u),
+                         (_complement_volume, u)):
+            full = op(data, ctx)
+            for keep in self.KEEPS:
+                self.assert_kept(op(data, ctx, keep), full, keep)
+
+
 class TestPseudoInverse:
     def test_keeps_singular_values_above_relative_cutoff(self):
         from wittflow.potentials import _RCOND, _pseudo_inverse
@@ -714,3 +763,9 @@ class TestContextValidation:
         d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)
         with pytest.raises(ValueError):
             OperatorContext(d, KernelParams(1.0), quad_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance(self, tol):
+        d = build_box_domain((1.0, 1.0, 1.0), 0.5, 1.0 / 3, 0.25)
+        with pytest.raises(ValueError, match="quad_tol"):
+            OperatorContext(d, KernelParams(1.0), quad_tol=tol)

@@ -18,6 +18,44 @@ class TestOrderFit:
             verify.fit_order([0.1, 0.05], [1.0, 0.5])
 
 
+def separate_stencil_record():
+    """The convention record with every calibration stencil on its own 3^4
+    grid: the kernel sampled and the operator applied once per candidate,
+    point and level."""
+    from wittflow.domain import SpaceTimeGrid
+    from wittflow.kernels import (ConventionRecord, apply_parabolic_dirac,
+                                  fundamental_solution_array)
+    k = verify._CALIBRATION_K
+    hs = verify._CALIBRATION_STENCILS
+    orders, residuals = {}, {}
+    for sign, power in ((1, 1), (1, 2), (-1, 1), (-1, 2)):
+        per_point, res_levels = [], []
+        for x0, t0 in verify._CALIBRATION_POINTS:
+            res = []
+            for h in hs:
+                grid = SpaceTimeGrid(h=h, dt=h, dims=(3, 3, 3), nt=3)
+                offs = (np.arange(3) - 1.0) * h
+                pts = np.stack(np.meshgrid(
+                    x0[0] + offs, x0[1] + offs, x0[2] + offs,
+                    indexing="ij"), axis=-1)
+                vals = fundamental_solution_array(
+                    pts[..., None, :], t0 + offs[None, None, None, :], k)
+                image = apply_parabolic_dirac(
+                    Field(vals, grid), grid, KernelParams(k), sign, power)
+                res.append(float(np.linalg.norm(image.values[1, 1, 1, 1])))
+            per_point.append(verify.fit_order(hs, res))
+            res_levels.append(res)
+        key = f"{sign:+d},{power}"
+        orders[key] = float(np.mean(per_point))
+        residuals[key] = np.mean(res_levels, axis=0).tolist()
+    winner = max(orders, key=orders.get)
+    sign, power = map(int, winner.split(","))
+    return ConventionRecord(
+        fd_power=power, sign=sign,
+        factorization_power=verify._factorization_power(sign, power),
+        orders=orders, residuals=residuals)
+
+
 class TestCalibration:
     def test_deterministic(self, calibrated_convention):
         again = verify.calibrate_convention()
@@ -25,15 +63,18 @@ class TestCalibration:
         assert again.fd_power == calibrated_convention.fd_power
 
     def test_stencil_residual_is_the_center_of_a_5_grid(self):
-        # the center node reads only its neighbours, so the 3^4 calibration
-        # grid gives every residual bit for bit as the center of a 5^4 grid
+        # a center node reads only its own stencil, so every batched
+        # calibration residual is bit for bit the center of a 5^4 grid
         from wittflow.domain import SpaceTimeGrid
         from wittflow.kernels import (apply_parabolic_dirac,
                                       fundamental_solution_array)
         k = verify._CALIBRATION_K
-        for sign, power in ((1, 1), (1, 2), (-1, 1), (-1, 2)):
-            for x0, t0 in verify._CALIBRATION_POINTS:
-                for h in verify._CALIBRATION_STENCILS:
+        candidates = ((1, 1), (1, 2), (-1, 1), (-1, 2))
+        for h in verify._CALIBRATION_STENCILS:
+            rows = verify._stencil_residuals(h, k, candidates)
+            assert np.shape(rows) == (4, len(verify._CALIBRATION_POINTS))
+            for (sign, power), row in zip(candidates, rows):
+                for (x0, t0), got in zip(verify._CALIBRATION_POINTS, row):
                     grid = SpaceTimeGrid(h=h, dt=h, dims=(5, 5, 5), nt=5)
                     offs = (np.arange(5) - 2.0) * h
                     pts = np.stack(np.meshgrid(
@@ -44,8 +85,14 @@ class TestCalibration:
                     image = apply_parabolic_dirac(
                         Field(vals, grid), grid, KernelParams(k), sign, power)
                     want = float(np.linalg.norm(image.values[2, 2, 2, 2]))
-                    assert verify._stencil_residual(
-                        x0, t0, k, h, sign, power) == want
+                    assert got == want
+
+    def test_record_matches_separate_stencils(self, calibrated_convention):
+        # the batched calibration against one 3^4 grid per (candidate,
+        # point, level), 80 separate operator applications
+        want = separate_stencil_record()
+        assert verify.calibrate_convention() == want
+        assert calibrated_convention == want
 
     def test_record_is_activated(self, calibrated_convention):
         from wittflow import kernels
