@@ -134,27 +134,38 @@ def _kernel_terms(xs: np.ndarray, factors, k: float, dual: bool = False,
     """The kernel's nonzero components (e1, e2, e3, f, fd), component first.
 
     ``xs`` holds the coordinates first, ``(3, ...)``; ``factors`` are the
-    ``_time_factors`` of times that broadcast against ``xs[0]``.  ``signs``
-    (+-1, broadcasting likewise) multiply the prefactor, which is exact, so
-    each term is bitwise the sign times the unsigned one.  The result has
-    shape ``(5,) + xs.shape[1:]``; ``out`` may be any array (a view, say)
-    of that shape to write it into.  The one formula behind
-    ``fundamental_solution_array`` and the lattice sums.
+    ``_time_factors`` of times that broadcast against ``xs[0]``.  ``r^2``
+    is computed on ``xs[0]``'s own shape, so times on an axis of length 1
+    there share it.  ``signs`` (+-1, broadcasting likewise) divide along
+    with ``cube``: x/(-c) = -(x/c) exactly, so each term is bitwise the
+    sign times the unsigned one.  The result has shape ``(5,)`` plus the
+    broadcast shape; ``out`` may be any array (a view, say) of that shape
+    to write it into.  The one formula behind ``fundamental_solution_array``
+    and the lattice sums.
+
+    Every full-array pass is the closed form's plain operation or an exact
+    identity of it, so the bits are those of the formula written out: the
+    gradient prefactor is ``pref * -k_half_t`` (not ``-pref * k_half_t``),
+    the bracket subtracts in place, and the underflow ``where`` runs only
+    when some exponent is below ``UNDERFLOW_EXPONENT`` (or is NaN), the
+    only case where it changes something.
     """
     four_t, cube, k_half_t, four_t2, three_half_t = factors
     x0, x1, x2 = xs
     r2 = (x0 * x0 + x1 * x1) + x2 * x2
     expo = -k * r2 / four_t
-    gauss = np.where(expo >= UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
-    pref = np.sqrt(k) * gauss / cube
-    if signs is not None:
-        pref *= signs
-    bracket = k * r2 / four_t2 - three_half_t
+    gauss = np.exp(expo)
+    if expo.size and not expo.min() >= UNDERFLOW_EXPONENT:
+        gauss = np.where(expo >= UNDERFLOW_EXPONENT, gauss, 0.0)
+    pref = np.sqrt(k) * gauss
+    pref /= cube if signs is None else cube * signs
+    bracket = k * r2 / four_t2
+    bracket -= three_half_t
     if dual:
         bracket = -bracket
     terms = np.empty((5,) + pref.shape) if out is None else out
     # one component at a time: an inner loop of length 3 is slow in numpy
-    gradient = -pref * k_half_t
+    gradient = pref * -k_half_t
     for c in range(3):
         np.multiply(gradient, xs[c], out=terms[c, ...])
     np.multiply(pref, bracket, out=terms[3, ...])

@@ -7,10 +7,15 @@ factored by the unit lattice) and one antiperiodicity flag per generator
 translates over the sublattice, summed shell by shell in the max-norm so the
 analytic tail bound applies verbatim to the discarded remainder.
 
-Each point adds the terms of a shell one after the other in lex order, then
-adds the shell's sum to its running total; that order fixes every bit of
-the tables.  The terms come from ``kernels._kernel_terms``, the kernel's one
-formula, with the spin-structure sign folded into the prefactor (exact).
+Each (time, point) adds the terms of a shell one after the other in lex
+order, then adds the shell's sum to its running total; that order fixes
+every bit of the tables.  The terms come from ``kernels._kernel_terms``, the
+kernel's one formula, with the spin-structure sign folded into the
+prefactor (exact).  A kernel table is one pass over the shells for all its
+times: every time's shell count is planned first, then each shell is
+summed once for the times whose plan reaches it, so a shifted coordinate
+and its squared radius serve every time.  The bits of a time do not depend
+on the other times it is summed with.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ __all__ = [
 
 MAX_SHELLS = 64
 
-# Shell term x point pairs evaluated per kernel call in the shell sum:
-# large enough to amortize the call, small enough to keep the temporaries in
-# cache (twice as many ran 1.7x slower on the antiperiodic 4^3x8 torus).
+# Shell term x time x point triples evaluated per kernel call in the shell
+# sum: large enough to amortize the call, small enough to keep the
+# temporaries in cache.  16k, 32k and 64k built the antiperiodic 4^3x8 torus
+# tables equally fast (1.02, 0.99 and 1.06 s, medians of 6), so the smallest
+# working set is kept.
 _BLOCK_PAIRS = 16384
 
 
@@ -131,69 +138,115 @@ def tail_bound(m_start: int, r: float, t: float,
             raise RuntimeError("tail bound failed to converge")
 
 
-def _check_finite_inputs(points: np.ndarray, t: float) -> None:
-    """Refuse non-finite points or time before any shell is planned."""
-    if not (np.all(np.isfinite(points)) and np.isfinite(t)):
+def _check_finite_inputs(points: np.ndarray, t) -> None:
+    """Refuse non-finite points or times before any shell is planned."""
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(t))):
         raise ValueError("kernel points and time must be finite")
 
 
-def periodized_solution_batch(points: np.ndarray, t: float,
+def _plan_shells(r: float, times: np.ndarray, params: KernelParams,
+                 target_tol: float):
+    """Shell count and tail bound of every time, before any term is summed.
+
+    A time ``<= 0`` gets no shells.  A time whose tail cannot drop below
+    ``target_tol`` within ``MAX_SHELLS`` raises ``RuntimeError``.
+    """
+    counts = np.zeros(len(times), dtype=int)
+    tails = np.zeros(len(times))
+    for j, t in enumerate(times):
+        if t <= 0.0:
+            continue
+        for last in range(MAX_SHELLS + 1):
+            if last + 1 > r:
+                tail = tail_bound(last + 1, r, float(t), params)
+                if tail < target_tol:
+                    break
+        else:
+            raise RuntimeError(
+                f"periodized kernel did not reach tolerance {target_tol} "
+                f"within {MAX_SHELLS} shells")
+        counts[j], tails[j] = last + 1, tail
+    return counts, tails
+
+
+def periodized_solution_batch(points: np.ndarray, t,
                               params: KernelParams, spec: LatticeSpec,
                               target_tol: float):
-    """Shell-summed periodized kernel for a batch of points at one time.
+    """Shell-summed periodized kernel for a batch of points at one time, or
+    at each time of a 1-d array.
 
-    Returns (values (n, 7), tail_estimate, shells_used); all points share
-    the shell schedule, and the tail is bounded with the largest point
-    radius.  Points are assumed non-singular; non-finite points, time or
-    tolerance are refused with ``ValueError``.  An empty batch sums nothing.
+    Returns (values, tail_estimate, shells_used).  ``values`` has shape
+    (n, 7) for a scalar ``t`` and (len(t), n, 7) for an array; rows of
+    times ``<= 0`` are zeros.  The tail is the largest bound over the times
+    and the shell count the largest: all points of a time share its shell
+    schedule, bounded with the largest point radius.  Every time is planned
+    before any term is summed, so a time that cannot reach the tolerance
+    fails before any work.  Points are assumed non-singular; non-finite
+    points, times or tolerance, and a times array of more than one
+    dimension, are refused with ``ValueError``.  An empty batch sums
+    nothing.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_finite_inputs(points, t)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-d array")
+    _check_finite_inputs(points, times)
     if not (target_tol > 0 and np.isfinite(target_tol)):
         raise ValueError("target tolerance must be positive and finite")
+    values, tail, shells = _shell_sums(points, np.atleast_1d(times), params,
+                                       spec, target_tol)
+    return (values[0] if times.ndim == 0 else values), tail, shells
+
+
+def _shell_sums(points: np.ndarray, times: np.ndarray, params: KernelParams,
+                spec: LatticeSpec, target_tol: float):
+    """``periodized_solution_batch`` on checked points and a 1-d times
+    array; values have shape (len(times), n, 7)."""
     n = len(points)
-    if t <= 0.0 or n == 0:
-        return np.zeros((n, 7)), 0.0, 0
+    out = np.zeros((len(times), n, 7))
+    live = np.flatnonzero(times > 0.0)
+    if n == 0 or not len(live):
+        return out, 0.0, 0
     if spec.rank == 0:
-        return fundamental_solution_array(points, t, params.k), 0.0, 1
+        for j in live:
+            out[j] = fundamental_solution_array(points, times[j], params.k)
+        return out, 0.0, 1
     r = float(np.max(np.linalg.norm(points, axis=1)))
-    # plan the shell count from the tail bound before evaluating any kernel
-    for last in range(MAX_SHELLS + 1):
-        if last + 1 > r:
-            tail = tail_bound(last + 1, r, t, params)
-            if tail < target_tol:
-                break
-    else:
-        raise RuntimeError(
-            f"periodized kernel did not reach tolerance {target_tol} within "
-            f"{MAX_SHELLS} shells")
-    factors = _time_factors(np.atleast_1d(t), params.k)
-    out = np.zeros((n, 7))
-    # coordinates lead and points trail, so that each shifted coordinate is
-    # one broadcast add with long inner loops
-    coords = np.ascontiguousarray(points.T)[:, None, :]
-    step = max(1, _BLOCK_PAIRS // n)
-    for m in range(last + 1):
-        shell = shell_points(m, spec)
-        signs = _signs_of(shell.points, spec)[:, None]
-        offsets = shell.points.T.astype(float)[:, :, None]
-        # shell terms first, summed by one reduction over the leading axis:
-        # it adds them one after the other in lex order for every
-        # (component, point) together.  Each chunk after the first carries
-        # the running shell sum in as its leading row, so the chunking
-        # leaves that order, and every bit, unchanged.
-        total = np.zeros((0, 5, n))
-        for a in range(0, len(shell), step):
-            chunk = slice(a, a + step)
-            lead = len(total)
-            terms = np.empty((lead + len(signs[chunk]), 5, n))
-            terms[:lead] = total
-            _kernel_terms(coords + offsets[:, chunk], factors, params.k,
-                          signs=signs[chunk],
-                          out=np.moveaxis(terms[lead:], 1, 0))
-            total = np.add.reduce(terms, axis=0, keepdims=True)
-        out[:, 1:6] += total[0].T
-    return out, tail, last + 1
+    counts, tails = _plan_shells(r, times, params, target_tol)
+    # coordinate, term, time, point: each shifted coordinate and r^2 is one
+    # broadcast op per (term, point), shared by every time
+    coords = np.ascontiguousarray(points.T)[:, None, None, :]
+    # times in groups, so that one term of a group stays within the block
+    group = max(1, _BLOCK_PAIRS // n)
+    for g in range(0, len(live), group):
+        rows = live[g:g + group]
+        factors = _time_factors(times[rows], params.k)
+        for m in range(counts[rows].max()):
+            shell = shell_points(m, spec)
+            signs = _signs_of(shell.points, spec)[:, None, None]
+            offsets = shell.points.T.astype(float)[:, :, None, None]
+            # the times whose plan reaches this shell
+            reach = counts[rows] > m
+            now = [f[reach][:, None] for f in factors]
+            width = int(np.sum(reach))
+            # shell terms first, summed by one reduction over the leading
+            # axis: it adds them one after the other in lex order for every
+            # (time, component, point) together.  Each chunk after the
+            # first carries the running shell sum in as its leading row, so
+            # the chunking leaves that order, and every bit, unchanged.
+            step = max(1, _BLOCK_PAIRS // (n * width))
+            total = np.zeros((0, width, 5, n))
+            for a in range(0, len(shell), step):
+                chunk = slice(a, a + step)
+                lead = len(total)
+                terms = np.empty((lead + len(signs[chunk]), width, 5, n))
+                terms[:lead] = total
+                _kernel_terms(coords + offsets[:, chunk], now, params.k,
+                              signs=signs[chunk],
+                              out=np.moveaxis(terms[lead:], 2, 0))
+                total = np.add.reduce(terms, axis=0, keepdims=True)
+            out[rows[reach], :, 1:6] += np.swapaxes(total[0], 1, 2)
+    return out, float(tails.max()), int(counts.max())
 
 
 def periodized_fundamental_solution(p: SpaceTimePoint, params: KernelParams,

@@ -140,20 +140,21 @@ def _eval_kernel_grid(ctx: OperatorContext, xo: list[np.ndarray],
 
     ``xo`` gives per-axis offset coordinates (physical units); the result
     has shape (len(xo[0]), len(xo[1]), len(xo[2]), len(t_offsets), 7).
+    A periodized table is one lattice sum over all its positive times.
     """
     pts = np.stack(np.meshgrid(*xo, indexing="ij"), axis=-1)
     flat = pts.reshape(-1, 3)
     out = np.zeros((len(flat), len(t_offsets), 7))
     spec = ctx.domain.grid.lattice
-    for j, s in enumerate(t_offsets):
-        if s <= 0.0:
-            continue
-        if spec.rank == 0:
-            out[:, j, :] = fundamental_solution_array(flat, s, ctx.params.k)
-        else:
-            vals, _, _ = periodized_solution_batch(
-                flat, float(s), ctx.params, spec, ctx.quad_tol)
-            out[:, j, :] = vals
+    live = np.flatnonzero(t_offsets > 0.0)
+    if spec.rank == 0:
+        for j in live:
+            out[:, j, :] = fundamental_solution_array(flat, t_offsets[j],
+                                                      ctx.params.k)
+    else:
+        vals, _, _ = periodized_solution_batch(
+            flat, t_offsets[live], ctx.params, spec, ctx.quad_tol)
+        out[:, live, :] = np.swapaxes(vals, 0, 1)
     return out.reshape(pts.shape[:-1] + (len(t_offsets), 7))
 
 
@@ -498,8 +499,12 @@ _RCOND = 1e-10
 
 # Volume-convolution spectrum per block of probes in the dense-system
 # assembly: enough probes to amortize the per-call overhead of the operator
-# stack, few enough that the block's temporaries stay small.
+# stack, few enough that the block's temporaries stay small.  A block holds
+# at least _MIN_PROBES: the antiperiodic 4^3x8 torus, whose spectrum gives
+# 2 by bytes alone, is dominated by per-block overhead there, and 8 probes
+# stay well under the peak RSS that its pressure SVD sets.
 _BLOCK_BYTES = 1 << 20
+_MIN_PROBES = 8
 
 
 @dataclass(frozen=True)
@@ -519,7 +524,7 @@ class _PseudoInverse:
 
 def _probe_block(ctx: OperatorContext) -> int:
     """Probes per block when assembling a dense system on ``ctx``."""
-    return max(1, _BLOCK_BYTES // _volume_conv(ctx).k_hat.nbytes)
+    return max(_MIN_PROBES, _BLOCK_BYTES // _volume_conv(ctx).k_hat.nbytes)
 
 
 def _assemble(apply_block, n: int, block: int) -> np.ndarray:

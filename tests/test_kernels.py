@@ -298,3 +298,87 @@ class TestKernelMonogenicity:
             res.append(float(np.linalg.norm(out.values[2, 2, 2, 2])))
         order = verify.fit_order((0.02, 0.01, 0.005), res)
         assert order >= 1.9
+
+
+def written_out_formula(x, t, k, dual=False):
+    """The closed form written out plainly, operation for operation (a
+    negated gradient prefactor, an unconditional underflow flush), on the
+    points with t > 0; the others are zeros."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(x.shape[:-1], t.shape)
+    t = np.broadcast_to(t, shape)
+    live = t > 0.0
+    x0, x1, x2 = np.moveaxis(np.broadcast_to(x, shape + (3,))[live], -1, 0)
+    t = t[live]
+    four_t = 4.0 * t
+    cube = (2.0 * np.sqrt(np.pi * t)) ** 3
+    r2 = (x0 * x0 + x1 * x1) + x2 * x2
+    expo = -k * r2 / four_t
+    gauss = np.where(expo >= -700.0, np.exp(expo), 0.0)
+    pref = np.sqrt(k) * gauss / cube
+    bracket = k * r2 / (four_t * t) - 3.0 / (2.0 * t)
+    if dual:
+        bracket = -bracket
+    gradient = -pref * (k / (2.0 * t))
+    out = np.zeros(shape + (7,))
+    out[live] = np.stack([np.zeros_like(pref), gradient * x0, gradient * x1,
+                          gradient * x2, pref * bracket, k * pref,
+                          np.zeros_like(pref)], axis=-1)
+    return out
+
+
+class TestKernelTerms:
+    """The one kernel formula, ``kernels._kernel_terms``."""
+
+    @staticmethod
+    def batch(rng, far=False):
+        # (3, term, 1, point) coordinates against (time, 1) factors, as in
+        # the lattice sum; ``far`` adds points whose exponent at the
+        # smallest time falls below -700, with the Gaussian a subnormal
+        xs = rng.uniform(-3.0, 3.0, (3, 6, 1, 40))
+        if far:
+            xs[0, :, :, ::7] = 23.5
+        times = np.array([0.25, 1.0, 2.5])
+        return xs, kernels._time_factors(times, 1.3)
+
+    def factors_at(self, factors):
+        return [f[:, None] for f in factors]
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_signed_terms_are_sign_times_unsigned(self, dual):
+        rng = np.random.default_rng(4)
+        xs, factors = self.batch(rng, far=True)
+        factors = self.factors_at(factors)
+        signs = rng.choice([-1.0, 1.0], size=(6, 1, 1))
+        signed = kernels._kernel_terms(xs, factors, 1.3, dual, signs=signs)
+        unsigned = kernels._kernel_terms(xs, factors, 1.3, dual)
+        assert signed.tobytes() == (signs * unsigned).tobytes()
+
+    def test_underflow_is_exact_zero_and_leaves_the_rest(self):
+        rng = np.random.default_rng(5)
+        xs, factors = self.batch(rng, far=True)
+        factors = self.factors_at(factors)
+        expo = -1.3 * np.sum(xs * xs, axis=0) / factors[0]
+        under = np.broadcast_to(expo < -700.0, (6, 3, 40))
+        assert under.any() and not under.all()
+        assert np.all(np.exp(expo[expo < -700.0]) > 0.0)   # unflushed
+        terms = kernels._kernel_terms(xs, factors, 1.3)
+        assert np.all(terms[:, under] == 0.0)
+        # the same points without the far ones: no exponent underflows
+        near = np.delete(xs, np.s_[::7], axis=-1)
+        alone = kernels._kernel_terms(near, factors, 1.3)
+        kept = np.delete(terms, np.s_[::7], axis=-1)
+        assert kept.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("k", [1.0, 1.7])
+    def test_array_is_written_out_formula(self, dual, k):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-3.0, 3.0, (60, 4, 3))
+        x[::5, :, 0] = 60.0                  # exponents below -700 too
+        t = rng.uniform(-0.3, 1.5, (60, 4))
+        for times in (t, np.abs(t) + 1e-3, 0.4375):
+            got = fundamental_solution_array(x, times, k, dual=dual)
+            want = written_out_formula(x, times, k, dual=dual)
+            assert got.tobytes() == want.tobytes()

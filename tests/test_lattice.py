@@ -267,3 +267,134 @@ class TestPeriodized:
         with pytest.raises(RuntimeError, match="shells"):
             periodized_solution_batch(np.zeros((1, 3)), 40.0,
                                       KernelParams(1e-3), RANK3, 1e-300)
+
+
+ALL_RANK3 = [LatticeSpec(3, flags)
+             for flags in itertools.product((False, True), repeat=3)]
+
+# unsorted, with entries <= 0 that must come back as zero rows
+TIMES = np.array([0.4375, -0.25, 0.03125, 0.0, 0.25, 0.125])
+
+
+def stacked_scalar_calls(points, times, params, spec, tol):
+    """The times one scalar call at a time: values, largest tail, most
+    shells."""
+    calls = [periodized_solution_batch(points, float(t), params, spec, tol)
+             for t in times]
+    values = np.stack([v for v, _, _ in calls]).reshape(
+        len(times), len(points), 7)
+    return (values, max((tail for _, tail, _ in calls), default=0.0),
+            max((shells for _, _, shells in calls), default=0))
+
+
+def assert_same_as_scalar_calls(points, times, params, spec, tol=1e-10):
+    got = periodized_solution_batch(points, times, params, spec, tol)
+    want = stacked_scalar_calls(points, times, params, spec, tol)
+    assert got[0].shape == (len(times), len(points), 7)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert type(got[1]) is float and got[1] == want[1]
+    assert type(got[2]) is int and got[2] == want[2]
+    return got
+
+
+class TestTimesArray:
+    """A 1-d times array is one pass over the shells of all its times."""
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(), LatticeSpec(1, (False,)), LatticeSpec(1, (True,)),
+        LatticeSpec(2, (False, True)), LatticeSpec(2, (True, True))]
+        + ALL_RANK3, ids=str)
+    def test_stacked_scalar_calls(self, spec):
+        params = KernelParams(1.0)
+        rng = np.random.default_rng(spec.rank + 8 * sum(spec.anti_flags))
+        for n in (1, 5):
+            points = rng.uniform(-1.0, 1.0, (n, 3))
+            assert_same_as_scalar_calls(points, TIMES, params, spec)
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(1, (True,)), RANK3],
+                             ids=str)
+    def test_chunk_boundaries(self, spec):
+        # n around the points that fill one chunk of shell-1 terms at every
+        # positive time, where a chunk ends exactly at the shell's end
+        params = KernelParams(1.5)
+        live = int(np.sum(TIMES > 0.0))
+        block = lattice._BLOCK_PAIRS // (len(shell_points(1, spec)) * live)
+        rng = np.random.default_rng(7)
+        for n in (block - 1, block, block + 1):
+            points = rng.uniform(-1.0, 1.0, (n, 3))
+            assert_same_as_scalar_calls(points, TIMES, params, spec)
+
+    @pytest.mark.parametrize("pairs", [1, 24, 40, 130])
+    def test_small_blocks(self, monkeypatch, pairs):
+        # blocks smaller than one term of all times split the times into
+        # groups and the shells into one-term chunks
+        monkeypatch.setattr(lattice, "_BLOCK_PAIRS", pairs)
+        spec = LatticeSpec(3, (True, False, True))
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 3))
+        assert_same_as_scalar_calls(points, TIMES, KernelParams(1.0), spec)
+
+    def test_torus_ladder_table_times(self):
+        # the antiperiodic 4^3x8 torus volume table: the 512 doubled-axis
+        # ladder points at its 15 time offsets, 7 of them positive
+        spec = LatticeSpec(3, (True, True, True))
+        ladder = np.arange(8) * 0.25
+        points = np.stack(np.meshgrid(ladder, ladder, ladder, indexing="ij"),
+                          axis=-1).reshape(-1, 3)
+        times = np.arange(-7, 8) * 0.0625
+        _, tail, shells = assert_same_as_scalar_calls(
+            points, times, KernelParams(1.0), spec)
+        assert shells == 11 and 0.0 < tail <= 1e-10
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(), RANK3], ids=str)
+    def test_empty_times(self, spec):
+        value, tail, shells = periodized_solution_batch(
+            np.zeros((4, 3)) + 0.1, np.zeros(0), KernelParams(1.0), spec,
+            1e-10)
+        assert value.shape == (0, 4, 7)
+        assert tail == 0.0 and type(tail) is float
+        assert shells == 0 and type(shells) is int
+
+    @pytest.mark.parametrize("times", [
+        np.full((2, 2), 0.5), np.array([0.5, np.nan]),
+        np.array([np.inf, 0.5]), np.array([-np.inf])])
+    def test_bad_times_refused(self, times):
+        with pytest.raises(ValueError):
+            periodized_solution_batch(np.full((1, 3), 0.1), times,
+                                      KernelParams(1.0), RANK3, 1e-10)
+
+    @pytest.fixture
+    def term_calls(self, monkeypatch):
+        """Calls of the kernel formula inside the lattice sum."""
+        calls = []
+        terms = lattice._kernel_terms
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return terms(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_kernel_terms", counting)
+        return calls
+
+    def test_unreachable_time_fails_before_any_term(self, term_calls):
+        # the early time reaches the tolerance within the cap, the late one
+        # cannot: the plan refuses before the early one is summed
+        params = KernelParams(1.0)
+        points = np.full((2, 3), 0.1)
+        with pytest.raises(RuntimeError, match="shells"):
+            periodized_solution_batch(points, np.array([0.03125, 40.0]),
+                                      params, RANK3, 1e-300)
+        assert term_calls == []
+        periodized_solution_batch(points, np.array([0.03125]), params,
+                                  RANK3, 1e-300)
+        assert term_calls
+
+    def test_unreachable_table_fails_before_any_term(self, term_calls):
+        from wittflow.domain import build_quotient_domain
+        from wittflow.potentials import OperatorContext, _eval_kernel_grid
+        d = build_quotient_domain(RANK3, [], 0.5, 0.5, 0.25)
+        ctx = OperatorContext(d, KernelParams(1.0), quad_tol=1e-300)
+        ladder = np.array([0.0, 0.5])
+        with pytest.raises(RuntimeError, match="shells"):
+            _eval_kernel_grid(ctx, [ladder] * 3,
+                              np.array([-0.25, 0.03125, 0.25, 40.0]))
+        assert term_calls == []

@@ -553,6 +553,18 @@ class TestBlocks:
         assert boundary_trace(Field(u, d.grid), ctx).values.tobytes() \
             == one_probe.trace(u, ctx).tobytes()
 
+    @pytest.mark.parametrize("name, probes", [
+        ("box_3x6", 12), ("torus_p_4x8", 18), ("torus_a_4x8", 8)])
+    def test_probe_block_sizes(self, name, probes):
+        # about 1 MiB of volume spectrum per block, but at least 8 probes:
+        # by bytes alone the antiperiodic torus would get 2
+        from wittflow.potentials import (_BLOCK_BYTES, _probe_block,
+                                         _volume_conv)
+        ctx = pruned_ctx(name)
+        assert _probe_block(ctx) == probes
+        by_bytes = _BLOCK_BYTES // _volume_conv(ctx).k_hat.nbytes
+        assert probes == max(8, by_bytes)
+
     @pytest.mark.parametrize("name", sorted(BLOCK_GEOMETRIES))
     def test_bergman_system_matches_column_loop(self, name):
         import one_probe

@@ -46,3 +46,32 @@ def test_shared_names_stay_bound(spans, mod, fn):
                       vars(importlib.import_module(f"wittflow.{name}"))
                       .values())]
     assert len(binders) >= 3, binders
+
+
+def test_tables_go_through_the_traced_lattice_name(monkeypatch):
+    # the tracer counts lattice calls and reads shells and tail from the
+    # return value of potentials.periodized_solution_batch: each kernel
+    # table is one such call, with a float tail within quad_tol and an int
+    # shell count (the benchmark's traced torus runs check the same)
+    from wittflow import potentials
+    from wittflow.domain import build_quotient_domain
+    from wittflow.kernels import KernelParams
+    from wittflow.lattice import LatticeSpec
+
+    results = []
+    lattice_sum = potentials.periodized_solution_batch
+
+    def recording(*args, **kwargs):
+        results.append(lattice_sum(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(potentials, "periodized_solution_batch", recording)
+    spec = LatticeSpec(3, (True, False, True))
+    ctx = potentials.OperatorContext(
+        build_quotient_domain(spec, [], 0.25, 0.5, 0.0625), KernelParams(1.0))
+    potentials._volume_conv(ctx)
+    groups = potentials._face_groups(ctx)
+    assert len(results) == 1 + len(groups) == 2
+    for _, tail, shells in results:
+        assert type(tail) is float and 0.0 < tail <= ctx.quad_tol
+        assert type(shells) is int and shells > 0
