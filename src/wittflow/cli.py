@@ -94,6 +94,22 @@ def _parse_flags(text: str, rank: int) -> tuple[bool, ...]:
     return tuple(_parse_bool(p) for p in parts) or (False,) * rank
 
 
+def _checked(cast, ok, need: str):
+    """Parser that casts a value and refuses it unless ``ok`` holds."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(f"must be {need}, got {value}")
+        return value
+    return parse
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                     "positive and finite")
+_finite = _checked(float, math.isfinite, "finite")
+_count = _checked(int, lambda v: v >= 1, "at least 1")
+
+
 def _get(entries, key, path, cast=str, default=None):
     if key not in entries:
         return default
@@ -169,31 +185,37 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}:{lineno}: solver.mode must be linear or "
                           f"nonlinear, got {mode!r}")
 
-    cfg = RunConfig(
+    return RunConfig(
         kind=kind,
         extent=extent,
         rank=rank,
         anti_flags=anti_flags,
-        h=_get(entries, "grid.h", path, float),
-        dt=_get(entries, "grid.dt", path, float),
-        horizon=_get(entries, "time.horizon", path, float),
-        k=_get(entries, "kernel.k", path, float),
+        h=_get(entries, "grid.h", path, _positive),
+        dt=_get(entries, "grid.dt", path, _positive),
+        horizon=_get(entries, "time.horizon", path, _positive),
+        k=_get(entries, "kernel.k", path, _positive),
         forcing_preset=preset,
         forcing_csv=forcing_csv,
-        forcing_scale=_get(entries, "forcing.scale", path, float,
+        forcing_scale=_get(entries, "forcing.scale", path, _finite,
                            default=1.0),
         mode=mode,
-        max_iter=_get(entries, "solver.max_iter", path, int, default=50),
-        tol=_get(entries, "solver.tol", path, float, default=1e-8),
-        quad_tol=_get(entries, "quad.tol", path, float, default=1e-10),
+        max_iter=_get(entries, "solver.max_iter", path, _count, default=50),
+        tol=_get(entries, "solver.tol", path, _positive, default=1e-8),
+        quad_tol=_get(entries, "quad.tol", path, _positive, default=1e-10),
         output_dir=_get(entries, "output.dir", path, default="out"),
     )
-    for name in ("h", "dt", "horizon", "k", "quad_tol"):
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{path}: {name} must be positive and finite, "
-                              f"got {value}")
-    return cfg
+
+
+def _bad_flag(checks) -> bool:
+    """Report the first ``(flag, value, parse)`` that ``parse`` refuses;
+    whether there was one."""
+    for flag, value, parse in checks:
+        try:
+            parse(value)
+        except ValueError as exc:
+            print(f"bad {flag}: {exc}", file=sys.stderr)
+            return True
+    return False
 
 
 def _build_context(cfg: RunConfig):
@@ -245,6 +267,8 @@ def cmd_solve(args) -> int:
     from .domain import export_solution_csv
     from .solver import (NavierStokesProblem, SolverDivergence,
                          fixed_point_solve, solve_linear)
+    if args.tol is not None and _bad_flag([("--tol", args.tol, _positive)]):
+        return 2
     cfg, ctx, forcing = _set_up(args)
     out_dir = Path(args.output or cfg.output_dir)
     prob = NavierStokesProblem(ctx, forcing)
@@ -306,7 +330,6 @@ def cmd_kernel(args) -> int:
     from .kernels import KernelParams, SpaceTimePoint
     from .lattice import (LatticeSpec, brute_force_periodized,
                           periodized_fundamental_solution)
-    verify.ensure_convention()
     try:
         point = tuple(float(v) for v in args.point.split(","))
         if len(point) != 3:
@@ -316,11 +339,9 @@ def cmd_kernel(args) -> int:
     except ValueError as exc:
         print(f"bad --point: {exc}", file=sys.stderr)
         return 2
-    for flag, value in (("--time", args.time), ("--tol", args.tol)):
-        if not math.isfinite(value):
-            print(f"bad {flag}: must be finite, got {value}", file=sys.stderr)
-            return 2
-    params = KernelParams(args.k)
+    if _bad_flag([("--time", args.time, _finite), ("--k", args.k, _positive),
+                  ("--tol", args.tol, _positive)]):
+        return 2
     spec = LatticeSpec()
     if args.lattice:
         rank_text, _, flags_text = args.lattice.partition(",")
@@ -330,11 +351,13 @@ def cmd_kernel(args) -> int:
         except ValueError as exc:
             print(f"bad --lattice: {exc}", file=sys.stderr)
             return 2
+    if args.shells is not None and (args.shells < 0 or not spec.rank):
+        print("bad --shells: need a count >= 0 and a lattice of rank 1..3",
+              file=sys.stderr)
+        return 2
+    verify.ensure_convention()
+    params = KernelParams(args.k)
     if args.shells is not None:
-        if not spec.rank:
-            print("bad --shells: shells need a lattice of rank 1..3",
-                  file=sys.stderr)
-            return 2
         value, tail = brute_force_periodized(
             np.asarray(point)[None, :], args.time, params, spec,
             radius=args.shells)

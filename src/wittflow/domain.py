@@ -314,18 +314,22 @@ def build_quotient_domain(spec: LatticeSpec, free_extent, horizon: float,
     return _build_domain(grid)
 
 
-def diff_field(values: np.ndarray, axis: int, spacing: float, periodic: bool,
-               edge_order: int = 2) -> np.ndarray:
-    """First difference quotient along one array axis.
+def diff_field(values: np.ndarray, axis: int,
+               grid: SpaceTimeGrid) -> np.ndarray:
+    """First difference quotient along array axis ``axis`` of node values.
 
-    Central second-order stencils in the interior; wrapped central stencils
-    on periodic axes; one-sided stencils of the requested order at
-    non-periodic edges.
+    Its space-time axis is ``axis % 4``: fields ``(*grid.shape, c)`` pass
+    0..3, batches ``(m, *grid.shape)`` pass -4..-1.  The grid fixes the
+    stencil: central second order inside and across the wrap of a
+    periodized axis, one-sided second order at a free spatial edge, first
+    order at the end slabs.
     """
-    if periodic:
+    st = axis % 4
+    if st < 3 and grid.periodic[st]:
         return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) \
-            / (2.0 * spacing)
-    return np.gradient(values, spacing, axis=axis, edge_order=edge_order)
+            / (2.0 * grid.h)
+    return np.gradient(values, grid.spacing(st), axis=axis,
+                       edge_order=2 if st < 3 else 1)
 
 
 _E_ROWS = np.eye(7)[1:4]
@@ -336,7 +340,7 @@ def discrete_spatial_dirac(u: Field) -> Field:
     g = u.grid
     out = np.zeros_like(u.values)
     for axis in range(3):
-        du = diff_field(u.values, axis, g.h, g.periodic[axis], edge_order=2)
+        du = diff_field(u.values, axis, g)
         out += mul_arrays(_E_ROWS[axis], du)
     return Field(out, g)
 
@@ -359,8 +363,7 @@ def _grad(p: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """
     out = np.zeros(p.shape + (7,))
     for axis in range(3):
-        out[..., 1 + axis] = diff_field(p, axis - 4, grid.h,
-                                        grid.periodic[axis], edge_order=2)
+        out[..., 1 + axis] = diff_field(p, axis - 4, grid)
     return out
 
 
@@ -370,17 +373,31 @@ def discrete_grad(p: Field) -> Field:
 
 
 def _forward_gap_diffs(u: Field) -> list[np.ndarray]:
-    """Forward difference quotients over cell gaps, one array per axis."""
+    """Forward difference quotients over cell gaps, one array per axis; a
+    free axis has no gap across the wrap, so it is one node shorter."""
     g = u.grid
     out = []
     for axis in range(4):
-        spacing = g.spacing(axis)
-        if axis < 3 and g.periodic[axis]:
-            d = (np.roll(u.values, -1, axis) - u.values) / spacing
-        else:
-            d = np.diff(u.values, axis=axis) / spacing
+        d = (np.roll(u.values, -1, axis) - u.values) / g.spacing(axis)
+        if not (axis < 3 and g.periodic[axis]):
+            d = d[(slice(None),) * axis + (slice(None, -1),)]
         out.append(d)
     return out
+
+
+def _sobolev_gram(u: Field) -> Field:
+    """Gram operator of the first-order Sobolev inner product: the adjoint
+    of the forward differences, with the cropped end gap of a free axis
+    padded back as zero."""
+    g = u.grid
+    out = u.values.copy()
+    for axis, d in enumerate(_forward_gap_diffs(u)):
+        if d.shape[axis] < g.shape[axis]:
+            pad = [(0, 0)] * d.ndim
+            pad[axis] = (0, 1)
+            d = np.pad(d, pad)
+        out += (np.roll(d, 1, axis) - d) / g.spacing(axis)
+    return Field(out * g.cell_volume, g)
 
 
 def discrete_norm(u: Field, kind: str = "L2") -> float:

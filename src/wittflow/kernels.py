@@ -257,12 +257,13 @@ def apply_parabolic_dirac(u: Field, g: SpaceTimeGrid, params: KernelParams,
                           fd_power: int | None = None) -> Field:
     """Discrete first-order operator acting on a sampled field.
 
-    Central second-order differences in space (one-sided second order at
-    non-periodic edges), central differences in time with first-order
-    one-sided stencils at the end slabs.  Algebra elements multiply from the
-    left.  ``sign`` and ``fd_power`` override the zero-order sign and
-    exponent; each defaults to the active convention record, so the
-    defaults need a calibrated convention.
+    The differences are ``diff_field``'s, fixed by the grid ``g``: central
+    second order in space (wrapped on periodized axes, one-sided second
+    order at free edges), central in time with first-order one-sided
+    stencils at the end slabs.  Algebra elements multiply from the left.
+    ``sign`` and ``fd_power`` override the zero-order sign and exponent;
+    each defaults to the active convention record, so the defaults need a
+    calibrated convention.
     """
     if u.grid is not g and u.grid != g:
         raise ValueError("field is sampled on a different grid")
@@ -271,7 +272,7 @@ def apply_parabolic_dirac(u: Field, g: SpaceTimeGrid, params: KernelParams,
     sign, power = _zero_order(sign, fd_power)
     kappa = params.k ** power
     # sum_j ej * d_j u + f * d_t u + sign * k^p * fd * u, left-multiplied
-    dt_u = diff_field(u.values, 3, g.dt, False, edge_order=1)
+    dt_u = diff_field(u.values, 3, g)
     out = discrete_spatial_dirac(u).values
     out += mul_arrays(_F_BASIS, dt_u)
     out += sign * kappa * mul_arrays(_FD_BASIS, u.values)
@@ -299,7 +300,7 @@ def factorization_residual(test: Field, g: SpaceTimeGrid,
         h = g.spacing(axis)
         heat -= (np.roll(test.values, -1, axis) - 2.0 * test.values
                  + np.roll(test.values, 1, axis)) / (h * h)
-    heat += sign * ck * diff_field(test.values, 3, g.dt, False, edge_order=1)
+    heat += sign * ck * diff_field(test.values, 3, g)
     defect = twice.values - heat
     core = defect[2:-2, 2:-2, 2:-2, 2:-2, :]
     if core.size == 0:

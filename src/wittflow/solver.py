@@ -25,8 +25,8 @@ from functools import partial
 
 import numpy as np
 
-from .domain import (Field, _check_finite, _forward_gap_diffs, _grad,
-                     diff_field, discrete_grad, discrete_norm)
+from .domain import (Field, _check_finite, _grad, _sobolev_gram, diff_field,
+                     discrete_grad, discrete_norm)
 from .potentials import (OperatorContext, _complement_volume, _probe_block,
                          _pseudo_inverse, _teodorescu,
                          bergman_projection_adjoint, teodorescu,
@@ -122,7 +122,7 @@ def convective_term(u: Field) -> Field:
     vel = u.values[..., 1:4]
     out = np.zeros_like(u.values)
     for axis in range(3):
-        d = diff_field(vel, axis, g.h, g.periodic[axis], edge_order=2)
+        d = diff_field(vel, axis, g)
         out[..., 1:4] += vel[..., axis:axis + 1] * d
     return Field(out, g)
 
@@ -282,24 +282,6 @@ def _diagnosed_report(history, c1, c2, forcing, u0, converged,
 # Contraction constants
 # ---------------------------------------------------------------------------
 
-def _sobolev_gram(u: Field) -> Field:
-    """Gram operator of the first-order Sobolev inner product."""
-    g = u.grid
-    out = u.values.copy()
-    for axis, d in enumerate(_forward_gap_diffs(u)):
-        spacing = g.spacing(axis)
-        if axis < 3 and g.periodic[axis]:
-            out += (np.roll(d, 1, axis) - d) / spacing
-        else:
-            pad = [(0, 0)] * u.values.ndim
-            pad[axis] = (1, 0)
-            lo = np.pad(d, pad)
-            pad[axis] = (0, 1)
-            hi = np.pad(d, pad)
-            out += (lo - hi) / spacing
-    return Field(out * g.cell_volume, g)
-
-
 def _composite(ctx: OperatorContext, v: Field) -> Field:
     w = _complement_volume(v.values[None], ctx)[0]
     return teodorescu(Field(w, v.grid), ctx)
@@ -334,7 +316,11 @@ def estimate_constants(ctx: OperatorContext,
         z = _composite_transpose(ctx, gav)
         lam_new = float(np.sum(av.values * gav.values)
                         / (vol * np.sum(v.values * v.values)))
-        v = Field(z.values / (vol * np.linalg.norm(z.values)), grid)
+        z_norm = np.linalg.norm(z.values)
+        if z_norm == 0:
+            raise RuntimeError("the velocity composite vanished on this "
+                               "grid: its norm cannot be estimated")
+        v = Field(z.values / (vol * z_norm), grid)
         if lam > 0 and abs(lam_new - lam) <= 1e-6 * lam:
             lam = lam_new
             break

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .domain import (Field, SpaceTimeGrid, build_quotient_domain,
-                     discrete_grad, discrete_norm)
+                     discrete_div, discrete_grad, discrete_norm)
 from .kernels import (ConventionRecord, KernelParams,
                       apply_parabolic_dirac, fundamental_solution_array)
 from .lattice import (LatticeSpec, brute_force_periodized,
@@ -469,7 +469,6 @@ def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
                      discrete_norm(u - u_ref, "L2") / nrm))
         p_errors.append(discrete_norm(p - p_ref, "L2")
                         / max(discrete_norm(p_ref, "L2"), 1e-300))
-        from .domain import discrete_div
         div_rec = discrete_norm(discrete_div(u), "L2") / max(
             discrete_norm(u, "L2"), 1e-300)
         div_ref = discrete_norm(discrete_div(u_ref), "L2") / nrm

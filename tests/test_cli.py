@@ -265,6 +265,20 @@ class TestCommands:
         assert captured.err.startswith(f"bad {flag}:")
         assert "finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--k", ["--k", "-1"]), ("--k", ["--k", "nan"]),
+        ("--tol", ["--k", "1", "--lattice", "3", "--tol", "0"]),
+        ("--tol", ["--k", "1", "--lattice", "3", "--tol", "-1"]),
+        ("--shells", ["--k", "1", "--lattice", "3", "--shells", "-2"])])
+    def test_kernel_out_of_range_input_exit_2(self, flag, args, capsys):
+        # these used to fail as numerical errors (exit 3), and negative
+        # shells printed an all-zero kernel with shells_used=-1
+        assert cli.main(["kernel", "--point", "0.3,0.2,0.1", "--time",
+                         "0.5"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"bad {flag}:")
+        assert captured.out == ""
+
     def test_solve_zero_forcing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"forcing.preset": "zero"})
         rc = cli.main(["solve", "--config", cfg])
@@ -298,6 +312,26 @@ class TestCommands:
         assert cli.main(["solve", "--config", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver.max_iter", "0"), ("solver.max_iter", "-3"),
+        ("solver.tol", "nan"), ("solver.tol", "-1"),
+        ("forcing.scale", "nan"), ("forcing.scale", "inf")])
+    def test_solve_bad_run_setting_exit_2(self, tmp_path, key, value,
+                                          capsys):
+        # these used to run: no sweep at all, all 50 sweeps without a
+        # stopping test, or a numerical failure (exit 3) for the scale
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear",
+                                        key: value})
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_solve_bad_tol_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear"})
+        assert cli.main(["solve", "--config", cfg, "--tol", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("bad --tol:")
+        assert not (tmp_path / "artifacts").exists()
 
     def test_constants_verdict_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

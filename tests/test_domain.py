@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from wittflow import verify
-from wittflow.domain import (Field, SpaceTimeGrid, build_box_domain,
-                             build_quotient_domain, discrete_div,
+from wittflow.domain import (Field, SpaceTimeGrid, _forward_gap_diffs,
+                             _sobolev_gram, build_box_domain,
+                             build_quotient_domain, diff_field, discrete_div,
                              discrete_grad, discrete_norm,
                              discrete_spatial_dirac, export_field_csv,
                              export_solution_csv, load_field_csv)
 from wittflow.kernels import KernelParams, apply_parabolic_dirac
 from wittflow.lattice import LatticeSpec
+from wittflow.solver import convective_term
 from wittflow.witt_algebra import coeff_norm, mul_arrays
 
 
@@ -262,16 +264,106 @@ class TestDiscreteOperators:
         rot = discrete_spatial_dirac(u)
         assert np.allclose(rot.vector()[..., 2][inner], 2.0, rtol=1e-12)
 
-    def test_periodic_translation_invariance(self):
+    @pytest.mark.parametrize("operator", [
+        discrete_spatial_dirac, discrete_grad, convective_term,
+        _sobolev_gram])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_periodic_translation_invariance(self, operator, axis):
         grid = SpaceTimeGrid(h=0.25, dt=0.25, dims=(4, 4, 4), nt=4,
                              lattice=LatticeSpec(3, (False,) * 3))
         rng = np.random.default_rng(3)
         u = Field(rng.standard_normal(grid.shape + (7,)), grid)
-        du = discrete_spatial_dirac(u)
-        shifted = Field(np.roll(u.values, 1, axis=0), grid)
-        d_shifted = discrete_spatial_dirac(shifted)
-        assert np.array_equal(np.roll(du.values, 1, axis=0),
-                              d_shifted.values)
+        if operator is convective_term:
+            u = Field.from_vector(u.vector(), grid)
+        shifted = Field(np.roll(u.values, 1, axis=axis), grid)
+        assert np.array_equal(np.roll(operator(u).values, 1, axis=axis),
+                              operator(shifted).values)
+        assert discrete_norm(shifted, "W11") == pytest.approx(
+            discrete_norm(u, "W11"), rel=1e-14)
+
+
+class TestDifferenceOracle:
+    """The difference layer against the formulas it replaced, bit for bit.
+
+    Each stencil used to be chosen by its caller: wrapped central
+    differences or ``np.gradient`` (edge order 2 in space, 1 in time),
+    ``np.diff`` for the forward gaps, and an ``np.pad`` adjoint for the
+    Sobolev Gram operator.  Antiperiodic grids are left out: their wraps
+    are to gain the spin-structure sign.
+    """
+
+    GRIDS = {
+        "box": ((3, 3, 3), 6, LatticeSpec()),
+        "cylinder_p": ((4, 3, 3), 6, LatticeSpec(1, (False,))),
+        "cylinder_pp": ((4, 4, 3), 6, LatticeSpec(2, (False,) * 2)),
+        "torus_ppp": ((4, 4, 4), 8, LatticeSpec(3, (False,) * 3)),
+    }
+
+    @staticmethod
+    def old_diff(values, axis, spacing, periodic, edge_order):
+        if periodic:
+            return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) \
+                / (2.0 * spacing)
+        return np.gradient(values, spacing, axis=axis, edge_order=edge_order)
+
+    def old_args(self, grid, axis):
+        space = axis < 3
+        return (grid.spacing(axis), space and grid.periodic[axis],
+                2 if space else 1)
+
+    @pytest.fixture(params=sorted(GRIDS))
+    def field(self, request):
+        dims, nt, spec = self.GRIDS[request.param]
+        grid = SpaceTimeGrid(h=0.25, dt=0.0625, dims=dims, nt=nt,
+                             lattice=spec)
+        rng = np.random.default_rng(5)
+        return Field(rng.standard_normal(grid.shape + (7,)), grid)
+
+    def test_diff_field(self, field):
+        grid = field.grid
+        batch = field.values[..., 0][None] + np.arange(2.0)[:, None, None,
+                                                             None, None]
+        for axis in range(4):
+            args = self.old_args(grid, axis)
+            assert np.array_equal(diff_field(field.values, axis, grid),
+                                  self.old_diff(field.values, axis, *args))
+            assert np.array_equal(diff_field(batch, axis - 4, grid),
+                                  self.old_diff(batch, axis - 4, *args))
+
+    def test_grad_and_convective_term(self, field):
+        grid = field.grid
+        grad = np.zeros_like(field.values)
+        conv = np.zeros_like(field.values)
+        vel = field.values[..., 1:4]
+        for axis in range(3):
+            args = self.old_args(grid, axis)
+            grad[..., 1 + axis] = self.old_diff(field.values[..., 0], axis,
+                                                *args)
+            conv[..., 1:4] += vel[..., axis:axis + 1] \
+                * self.old_diff(vel, axis, *args)
+        assert np.array_equal(discrete_grad(field).values, grad)
+        assert np.array_equal(
+            convective_term(Field.from_vector(vel, grid)).values, conv)
+
+    def test_forward_gaps_and_sobolev_gram(self, field):
+        grid = field.grid
+        values = field.values
+        gram = values.copy()
+        for axis, got in enumerate(_forward_gap_diffs(field)):
+            spacing = grid.spacing(axis)
+            if axis < 3 and grid.periodic[axis]:
+                d = (np.roll(values, -1, axis) - values) / spacing
+                gram += (np.roll(d, 1, axis) - d) / spacing
+            else:
+                d = np.diff(values, axis=axis) / spacing
+                pad = [(0, 0)] * values.ndim
+                pad[axis] = (1, 0)
+                lo = np.pad(d, pad)
+                pad[axis] = (0, 1)
+                gram += (lo - np.pad(d, pad)) / spacing
+            assert np.array_equal(got, d)
+        assert np.array_equal(_sobolev_gram(field).values,
+                              gram * grid.cell_volume)
 
 
 class TestNorms:
@@ -305,7 +397,6 @@ class TestStokesConsistency:
         algebraically and the gap is pure spatial discretization error
         (sections are static, so the levels expose the spatial order).
         """
-        from wittflow.domain import diff_field
         k = 1.0
         eye = np.eye(7)
         gaps = []
@@ -330,9 +421,8 @@ class TestStokesConsistency:
             # right action on g: differences multiplied from the right
             left = np.zeros_like(gs)
             for axis in range(3):
-                dg = diff_field(gs, axis, grid.h, False, 2)
-                left += mul_arrays(dg, eye[1 + axis])
-            left += mul_arrays(diff_field(gs, 3, grid.dt, False, 1), eye[4])
+                left += mul_arrays(diff_field(gs, axis, grid), eye[1 + axis])
+            left += mul_arrays(diff_field(gs, 3, grid), eye[4])
             left -= k * mul_arrays(gs, eye[5])
             dirac_w = apply_parabolic_dirac(w_fld, grid, KernelParams(k), 1)
             vol = grid.cell_volume

@@ -151,6 +151,15 @@ class TestConstants:
         c1a, c2a = estimate_constants(small_ctx, seed=0)
         assert (c1a, c2a) == constants
 
+    def test_vanishing_composite_is_named(self):
+        # on two time slabs the composite maps everything to zero; the
+        # power iterate must not be divided by its zero norm
+        from wittflow.domain import build_box_domain
+        d = build_box_domain((0.75,) * 3, 0.125, 0.25, 0.0625)
+        ctx = OperatorContext(d, KernelParams(1.0))
+        with pytest.raises(RuntimeError, match="composite vanished"):
+            estimate_constants(ctx)
+
 
 class TestLinearSolve:
     def test_zero_forcing(self, small_ctx):
@@ -413,12 +422,11 @@ class TestVelocityCompositeScale:
 
 
 class TestSharedOperatorCores:
-    @pytest.mark.parametrize("periodic", [False, True])
-    def test_sobolev_gram_pairs_to_w11_norm(self, periodic):
-        from wittflow.domain import SpaceTimeGrid
-        from wittflow.solver import _sobolev_gram
-        dims = (4, 4, 4) if periodic else (3, 4, 5)
-        spec = SPEC3 if periodic else LatticeSpec()
+    @pytest.mark.parametrize("dims, spec", [
+        ((3, 4, 5), LatticeSpec()), ((4, 3, 5), LatticeSpec(1, (False,))),
+        ((4, 4, 4), SPEC3)], ids=["box", "cylinder_p", "torus_ppp"])
+    def test_sobolev_gram_pairs_to_w11_norm(self, dims, spec):
+        from wittflow.domain import SpaceTimeGrid, _sobolev_gram
         grid = SpaceTimeGrid(h=0.25, dt=0.0625, dims=dims, nt=6,
                              lattice=spec)
         rng = np.random.default_rng(3)
