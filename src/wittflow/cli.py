@@ -184,6 +184,10 @@ def load_config(path: str) -> RunConfig:
         lineno = entries["solver.mode"][1]
         raise ConfigError(f"{path}:{lineno}: solver.mode must be linear or "
                           f"nonlinear, got {mode!r}")
+    for key in ("solver.max_iter", "solver.tol"):
+        if mode == "linear" and key in entries:
+            raise ConfigError(f"{path}:{entries[key][1]}: {key} applies "
+                              "only to solver.mode = nonlinear")
 
     return RunConfig(
         kind=kind,
@@ -254,13 +258,12 @@ def _write_text(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
-def _set_up(args):
-    """Config, calibrated convention, context and forcing of a run."""
+def _set_up(cfg: RunConfig):
+    """Calibrated convention, context and forcing of a run."""
     from . import verify
-    cfg = load_config(args.config)
     verify.ensure_convention()
     ctx = _build_context(cfg)
-    return cfg, ctx, _build_forcing(cfg, ctx)
+    return ctx, _build_forcing(cfg, ctx)
 
 
 def cmd_solve(args) -> int:
@@ -269,7 +272,12 @@ def cmd_solve(args) -> int:
                          fixed_point_solve, solve_linear)
     if args.tol is not None and _bad_flag([("--tol", args.tol, _positive)]):
         return 2
-    cfg, ctx, forcing = _set_up(args)
+    cfg = load_config(args.config)
+    if args.tol is not None and cfg.mode == "linear":
+        print("bad --tol: solver.mode = linear runs one sweep and has no "
+              "tolerance", file=sys.stderr)
+        return 2
+    ctx, forcing = _set_up(cfg)
     out_dir = Path(args.output or cfg.output_dir)
     prob = NavierStokesProblem(ctx, forcing)
 
@@ -311,7 +319,7 @@ def cmd_solve(args) -> int:
 def cmd_constants(args) -> int:
     from .domain import discrete_norm
     from .solver import convergence_check, estimate_constants
-    _, ctx, forcing = _set_up(args)
+    ctx, forcing = _set_up(load_config(args.config))
     c1, c2 = estimate_constants(ctx, seed=args.seed)
     f_norm = discrete_norm(forcing, "L2")
     admissible, w_const, l_const = convergence_check(c1, c2, f_norm, 0.0)

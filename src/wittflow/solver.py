@@ -1,21 +1,21 @@
 """Flow solution engine: linear representation formulas, the nonlinear
 fixed-point iteration, and contraction diagnostics.
 
-The linear path solves the scalar pressure equation
+One sweep solves the scalar pressure equation
 
-    Re( Q T D p ) = Re( Q T f )
+    Re( Q T D p ) = Re( Q T g )
 
 by a truncated SVD of the densely assembled system (zero-mean gauge, at
 most ``MAX_PRESSURE_CELLS`` unknowns) and then evaluates the velocity
 representation
 
-    u = T Q T (f - D p)
+    u = T Q T (g - D p)
 
 operator by operator; the volume potential is never contracted against the
-spatial gradient symbolically.  The nonlinear path replaces f by
-``f - (u grad) u`` from the previous iterate and tracks the first-order
-Sobolev increments; admissibility of the data is judged by the closed-form
-contraction constants.
+spatial gradient symbolically.  The linear path is one sweep with g = f;
+the nonlinear path repeats it with g = f - (u grad) u of the previous
+iterate, tracks the first-order Sobolev increments and judges the data's
+admissibility by the closed-form contraction constants.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ class NavierStokesProblem:
 
 @dataclass
 class SolverReport:
+    """Outcome of a solve.  ``residual_history`` holds the W11 norm of each
+    sweep's velocity step: for a linear solve only the one step from rest
+    (the velocity's own norm); the constants and verdict stay unset there."""
+
     residual_history: list[float]
     C1: float = float("nan")
     C2: float = float("nan")
@@ -137,59 +141,46 @@ def _zero_mean(values: np.ndarray) -> np.ndarray:
     return values - values.mean(axis=-1, keepdims=True)
 
 
+def _scalar_complement(ctx: OperatorContext, g: np.ndarray) -> np.ndarray:
+    """Re(Q T g) with zero-mean gauge, flat, for a block of forcings
+    ``(m,) + grid.shape + (7,)``: the pressure system's map and right side."""
+    w = _complement_volume(g, ctx, _SCALAR)
+    return _zero_mean(w[..., 0].reshape(len(g), -1))
+
+
 def _pressure_apply(ctx: OperatorContext, p_flat: np.ndarray) -> np.ndarray:
     """Scalar system map p -> Re(Q T D p) with zero-mean gauge, on a block
     of flat pressures ``(m, n_cells)``."""
     grid = ctx.domain.grid
     p = _check_finite(_zero_mean(p_flat)).reshape((-1,) + grid.shape)
-    w = _complement_volume(_check_finite(_grad(p, grid)), ctx, _SCALAR)
-    return _zero_mean(w[..., 0].reshape(len(p_flat), -1))
+    return _scalar_complement(ctx, _check_finite(_grad(p, grid)))
 
 
-def _pressure_rhs(ctx: OperatorContext, g_field: Field) -> np.ndarray:
-    """Flat right side Re(Q T g) of the pressure system, zero-mean."""
-    w = _complement_volume(g_field.values[None], ctx, _SCALAR)
-    return _zero_mean(w[0, ..., 0].reshape(-1))
+def _sweep(ctx: OperatorContext, g: Field) -> tuple[Field, Field]:
+    """Velocity and zero-mean pressure of the representation for forcing g.
 
-
-def _pressure_solve(ctx: OperatorContext, g_field: Field) -> np.ndarray:
-    """Flat zero-mean pressure solving Re(Q T D p) = Re(Q T g).
-
-    The composite is a product of smoothing operators, so its discrete
-    spectrum is steeply graded.  The system is assembled densely once per
+    The pressure system Re(Q T D p) = Re(Q T g), a product of smoothing
+    operators with a steeply graded spectrum, is assembled densely once per
     context and solved by truncated least squares, which also fixes the
-    additive gauge mode.
+    gauge.  The velocity is the e-vector part of T Q T (g - D p); the
+    algebra's degenerate cross products shed non-vector byproducts with no
+    velocity meaning, so the last volume potential computes only that part.
     """
+    grid = ctx.domain.grid
     fac = ctx._cached("pressure_system", lambda: _pseudo_inverse(
-        partial(_pressure_apply, ctx), ctx.domain.grid.n_cells,
-        _probe_block(ctx)))
-    return _zero_mean(fac.solve(_pressure_rhs(ctx, g_field)))
-
-
-def _velocity_from(ctx: OperatorContext, g_field: Field) -> Field:
-    """Velocity representation: e-vector part of the composite potential.
-
-    The composite volume-complement-volume map is evaluated operator by
-    operator; its e-vector part is the velocity iterate (the algebra's
-    degenerate cross products shed small non-vector byproducts that have no
-    velocity interpretation), so the last volume potential computes only
-    that part.
-    """
-    w = _complement_volume(g_field.values[None], ctx)
+        partial(_pressure_apply, ctx), grid.n_cells, _probe_block(ctx)))
+    p_flat = _zero_mean(fac.solve(_scalar_complement(ctx, g.values[None])[0]))
+    p = Field.from_scalar(p_flat.reshape(grid.shape), grid)
+    w = _complement_volume((g - discrete_grad(p)).values[None], ctx)
     u = _teodorescu(w, ctx, _VECTOR)[0]
-    return Field.from_vector(u[..., 1:4], g_field.grid)
+    return Field.from_vector(u[..., 1:4], grid), p
 
 
 def solve_linear(prob: NavierStokesProblem):
-    """Pressure from the scalar system, velocity from the representation.
-
-    Returns (velocity field, scalar pressure field, report).
-    """
-    ctx = prob.ctx
-    grid = ctx.domain.grid
-    p_flat = _pressure_solve(ctx, prob.forcing)
-    p = Field.from_scalar(_zero_mean(p_flat).reshape(grid.shape), grid)
-    u = _velocity_from(ctx, prob.forcing - discrete_grad(p))
+    """The Stokes solve: one sweep from rest, bitwise the first sweep of
+    ``fixed_point_solve`` without ``u0``.  Returns (velocity, zero-mean
+    pressure, report)."""
+    u, p = _sweep(prob.ctx, prob.forcing)
     return u, p, SolverReport(residual_history=[discrete_norm(u, "W11")])
 
 
@@ -197,14 +188,17 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
                       max_iter: int = 50, tol: float = 1e-8,
                       constants: tuple[float, float] | None = None,
                       seed: int = 0):
-    """Alternating pressure/velocity updates with the convective forcing.
-
-    Each sweep solves the scalar pressure system for the effective forcing
-    ``f - (u grad) u`` of the previous iterate and re-evaluates the velocity
-    representation.  Stops when the first-order Sobolev increment falls
-    below ``tol``; three consecutive increment growths raise
-    ``SolverDivergence`` (the partial report rides on the exception).
+    """Sweeps with the effective forcing ``f - (u grad) u`` of the previous
+    iterate; from rest the first one is ``solve_linear``.  Stops after
+    ``max_iter >= 1`` sweeps or once the first-order Sobolev increment is
+    below ``tol >= 0`` (0 runs them all; a bad setting raises ``ValueError``
+    before the constants are estimated).  Three consecutive increment
+    growths raise ``SolverDivergence``, the partial report riding on it.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     ctx = prob.ctx
     grid = ctx.domain.grid
     warnings = []
@@ -226,14 +220,10 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
         c1, c2 = constants
 
     history: list[float] = []
-    p = Field.zeros(grid)
     converged = False
     growths = 0
     for _ in range(max_iter):
-        rhs = prob.forcing - convective_term(u)
-        p_flat = _pressure_solve(ctx, rhs)
-        p = Field.from_scalar(p_flat.reshape(grid.shape), grid)
-        u_next = _velocity_from(ctx, rhs - discrete_grad(p))
+        u_next, p = _sweep(ctx, prob.forcing - convective_term(u))
         step = discrete_norm(u_next - u, "W11")
         if history and step > history[-1]:
             growths += 1

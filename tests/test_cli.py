@@ -34,6 +34,16 @@ def write_config(tmp_path, text=None, **overrides):
     return str(path)
 
 
+@pytest.fixture
+def no_calibration(monkeypatch):
+    """Make the calibration fail, so a refusal must come before it."""
+    from wittflow import verify
+
+    def calibrate():
+        raise AssertionError("calibrated before the refusal")
+    monkeypatch.setattr(verify, "ensure_convention", calibrate)
+
+
 class TestConfigParsing:
     def test_missing_mandatory_key_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -326,6 +336,41 @@ class TestCommands:
         assert cli.main(["solve", "--config", cfg]) == 2
         assert f"bad value for {key}" in capsys.readouterr().err
         assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver.tol", "0.5"), ("solver.max_iter", "2")])
+    def test_linear_solve_refuses_iteration_setting_exit_2(
+            self, tmp_path, key, value, capsys, no_calibration):
+        # a linear solve is one sweep: these used to be ignored silently
+        cfg = write_config(tmp_path, **{key: value})
+        lineno = Path(cfg).read_text().splitlines().index(
+            f"{key} = {value}") + 1
+        assert cli.main(["solve", "--config", cfg, "--seed", "7"]) == 2
+        assert (f":{lineno}: {key} applies only to solver.mode = nonlinear"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_linear_solve_refuses_tol_flag_exit_2(self, tmp_path, capsys,
+                                                 no_calibration):
+        cfg = write_config(tmp_path)
+        assert cli.main(["solve", "--config", cfg, "--tol", "0.5",
+                         "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad --tol:") and not captured.out
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"solver.mode": "nonlinear", "solver.max_iter": "30",
+             "solver.tol": "1e-10"}], ids=["linear", "nonlinear"])
+    def test_benchmark_argv_runs_in_both_modes(self, tmp_path, mode,
+                                               capsys):
+        # the argv the benchmark's child process sends, --seed included
+        cfg = write_config(tmp_path, **mode)
+        out = tmp_path / "bench"
+        assert cli.main(["solve", "--config", cfg, "--output", str(out),
+                         "--seed", "0"]) == 0
+        for name in ("solution.csv", "residuals.csv", "summary.txt"):
+            assert (out / name).stat().st_size > 0
 
     def test_solve_bad_tol_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"solver.mode": "nonlinear"})

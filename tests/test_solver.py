@@ -253,18 +253,47 @@ class TestFixedPoint:
         assert report.converged
         assert np.allclose(u.values, 0.0, atol=1e-12)
 
-    def test_first_iterate_matches_linear_solve(self, small_ctx, constants):
-        # starting from rest, the first sweep sees no convective forcing
-        f = verify.vector_bump_field(small_ctx.domain.grid) * 0.05
-        prob = NavierStokesProblem(small_ctx, f)
-        u_lin, p_lin, _ = solve_linear(prob)
-        u_fp, p_fp, _ = fixed_point_solve(prob, max_iter=1, tol=0.0,
-                                          constants=constants)
-        vec_lin = u_lin.values[..., 1:4]
-        assert np.allclose(u_fp.values[..., 1:4], vec_lin, rtol=1e-12,
-                           atol=1e-14)
-        assert np.allclose(p_fp.values, p_lin.values, rtol=1e-10,
-                           atol=1e-12)
+    @pytest.mark.parametrize("name", ["box", "cylinder_a", "torus_p",
+                                      "torus_a"])
+    def test_first_iterate_matches_linear_solve(self, name, small_ctx):
+        # starting from rest, the first sweep sees no convective forcing, so
+        # it is the linear solve bit for bit (3^3x6 box, (a) 4x3x3x6
+        # cylinder, 4^3x8 tori)
+        if name == "torus_p":
+            ctx = small_ctx
+        else:
+            spec = {"box": LatticeSpec(),
+                    "cylinder_a": LatticeSpec(1, (True,)),
+                    "torus_a": LatticeSpec(3, (True,) * 3)}[name]
+            nt = 8 if spec.rank == 3 else 6
+            d = build_quotient_domain(spec, [0.75] * (3 - spec.rank),
+                                      nt * 0.0625, 0.25, 0.0625)
+            ctx = OperatorContext(d, KernelParams(1.0))
+        f = verify.vector_bump_field(ctx.domain.grid) * 0.05
+        prob = NavierStokesProblem(ctx, f)
+        u_lin, p_lin, lin = solve_linear(prob)
+        u_fp, p_fp, fp = fixed_point_solve(prob, max_iter=1, tol=0.0,
+                                           constants=(1.0, 1.0))
+        assert u_fp.values.tobytes() == u_lin.values.tobytes()
+        assert p_fp.values.tobytes() == p_lin.values.tobytes()
+        assert fp.residual_history == lin.residual_history
+
+    @pytest.mark.parametrize("setting, match", [
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": -2}, "max_iter"),
+        ({"tol": float("nan")}, "tol"), ({"tol": -1e-8}, "tol")])
+    def test_bad_setting_raises_before_constants(self, small_ctx, setting,
+                                                 match, monkeypatch):
+        # these used to estimate the constants and then return zero fields
+        # with no sweep, or run every sweep without a stopping test
+        from wittflow import solver
+
+        def estimate(*args, **kwargs):
+            raise AssertionError("constants estimated")
+        monkeypatch.setattr(solver, "estimate_constants", estimate)
+        prob = NavierStokesProblem(small_ctx,
+                                   Field.zeros(small_ctx.domain.grid))
+        with pytest.raises(ValueError, match=match):
+            fixed_point_solve(prob, **setting)
 
     def test_admissible_preset_contracts(self, small_ctx, constants):
         c1, c2 = constants
@@ -440,7 +469,7 @@ class TestSharedOperatorCores:
         # the right side and the system share one Q T core: the forcing
         # grad p0 of a zero-mean p0 gives exactly the column of p0
         from wittflow.domain import build_box_domain
-        from wittflow.solver import _pressure_apply, _pressure_rhs
+        from wittflow.solver import _pressure_apply, _scalar_complement
         if name == "box":
             d = build_box_domain((0.75,) * 3, 0.375, 0.25, 0.0625)
             ctx = OperatorContext(d, KernelParams(1.0))
@@ -456,4 +485,5 @@ class TestSharedOperatorCores:
                                                   grid))
         column = _pressure_apply(ctx, p0[None])[0]
         assert np.any(column)
-        assert _pressure_rhs(ctx, forcing).tobytes() == column.tobytes()
+        rhs = _scalar_complement(ctx, forcing.values[None])[0]
+        assert rhs.tobytes() == column.tobytes()
