@@ -22,14 +22,6 @@ class ConfigError(ValueError):
     pass
 
 
-_REQUIRED = ("domain.kind", "grid.h", "grid.dt", "time.horizon", "kernel.k")
-
-# Every key load_config reads; any other key is a configuration error.
-_KEYS = _REQUIRED + (
-    "domain.extent", "lattice.rank", "lattice.anti_flags", "forcing.preset",
-    "forcing.csv", "forcing.scale", "solver.mode", "solver.max_iter",
-    "solver.tol", "quad.tol", "output.dir")
-
 _PRESETS = ("zero", "vector_bump", "divergence_free", "manufactured")
 
 
@@ -85,13 +77,17 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _parse_flags(text: str, rank: int) -> tuple[bool, ...]:
+def _bools(text: str) -> tuple[bool, ...]:
+    """Comma-separated booleans; a blank text gives none."""
+    return tuple(map(_parse_bool, text.split(","))) if text.strip() else ()
+
+
+def _spin(flags: tuple[bool, ...], rank: int) -> tuple[bool, ...]:
     """Antiperiodicity flags: none (all periodic) or one per generator."""
-    parts = text.split(",") if text.strip() else []
-    if len(parts) not in (0, rank):
+    if len(flags) not in (0, rank):
         raise ValueError(f"need 0 or {rank} antiperiodicity flags, got "
-                         f"{len(parts)}")
-    return tuple(_parse_bool(p) for p in parts) or (False,) * rank
+                         f"{len(flags)}")
+    return flags or (False,) * rank
 
 
 def _checked(cast, ok, need: str):
@@ -104,110 +100,121 @@ def _checked(cast, ok, need: str):
     return parse
 
 
+def _choice(*options: str):
+    return _checked(str, options.__contains__,
+                    f"one of {', '.join(options)}")
+
+
+def _three(parse):
+    """Parser of 3 comma-separated values, each read by ``parse``."""
+    return _checked(lambda text: tuple(map(parse, text.split(","))),
+                    lambda values: len(values) == 3,
+                    "3 comma-separated values")
+
+
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
                      "positive and finite")
 _finite = _checked(float, math.isfinite, "finite")
 _count = _checked(int, lambda v: v >= 1, "at least 1")
+_point = _three(_finite)
 
 
-def _get(entries, key, path, cast=str, default=None):
-    if key not in entries:
-        return default
-    value, lineno = entries[key]
-    try:
-        return cast(value)
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
-            from exc
+def _lattice(text: str):
+    """``--lattice RANK[,FLAGS]`` as a spin structure."""
+    from .lattice import LatticeSpec
+    rank_text, _, flags_text = text.partition(",")
+    rank = int(rank_text)
+    return LatticeSpec(rank, _spin(_bools(flags_text), rank))
+
+
+# Config key -> (RunConfig field, parser, default); a default of ``...``
+# makes the key mandatory.  The None defaults are settled by the cross-key
+# rules in load_config.
+_SCHEMA = {
+    "domain.kind": ("kind", _choice("box", "cylinder", "torus"), ...),
+    "domain.extent": ("extent", _three(_positive), None),
+    "lattice.rank": ("rank", int, None),
+    "lattice.anti_flags": ("anti_flags", _bools, ()),
+    "grid.h": ("h", _positive, ...),
+    "grid.dt": ("dt", _positive, ...),
+    "time.horizon": ("horizon", _positive, ...),
+    "kernel.k": ("k", _positive, ...),
+    "forcing.preset": ("forcing_preset", str, "zero"),
+    "forcing.csv": ("forcing_csv", str, None),
+    "forcing.scale": ("forcing_scale", _finite, 1.0),
+    "solver.mode": ("mode", _choice("linear", "nonlinear"), "linear"),
+    "solver.max_iter": ("max_iter", _count, 50),
+    "solver.tol": ("tol", _positive, 1e-8),
+    "quad.tol": ("quad_tol", _positive, 1e-10),
+    "output.dir": ("output_dir", str, "out"),
+}
 
 
 def load_config(path: str) -> RunConfig:
     entries = _parse_lines(path)
-    for key, (_, lineno) in entries.items():
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in entries:
-            raise ConfigError(f"{path}: missing mandatory key {key!r}")
 
-    kind = _get(entries, "domain.kind", path)
-    if kind not in ("box", "cylinder", "torus"):
-        lineno = entries["domain.kind"][1]
-        raise ConfigError(f"{path}:{lineno}: domain.kind must be box, "
-                          f"cylinder or torus, got {kind!r}")
-    default_rank = {"box": 0, "torus": 3}.get(kind)
-    rank = _get(entries, "lattice.rank", path, int, default=default_rank)
-    if rank is None:
-        raise ConfigError(f"{path}: lattice.rank is mandatory for cylinders")
-    valid = {"box": (0,), "cylinder": (1, 2), "torus": (3,)}[kind]
-    if rank not in valid:
-        raise ConfigError(f"{path}: domain.kind={kind} requires "
-                          f"lattice.rank in {valid}, got {rank}")
+    def at(key):
+        """Where ``key`` is given: ``path:line``, or ``path`` if not."""
+        return f"{path}:{entries[key][1]}" if key in entries else path
 
-    anti_flags = _get(entries, "lattice.anti_flags", path,
-                      lambda text: _parse_flags(text, rank),
-                      default=(False,) * rank)
-
-    extent_raw = _get(entries, "domain.extent", path, default=None)
-    if extent_raw is None:
-        if kind != "torus":
-            raise ConfigError(f"{path}: domain.extent is mandatory for "
-                              f"{kind} domains")
-        extent = (1.0, 1.0, 1.0)
-    else:
+    def read(key, parse, *args):
         try:
-            parts = [float(p) for p in extent_raw.split(",")]
+            return parse(*args)
         except ValueError as exc:
-            lineno = entries["domain.extent"][1]
-            raise ConfigError(f"{path}:{lineno}: domain.extent must be "
-                              "comma-separated reals") from exc
-        if len(parts) != 3:
-            lineno = entries["domain.extent"][1]
-            raise ConfigError(f"{path}:{lineno}: domain.extent needs 3 "
-                              "values")
-        extent = tuple(parts)
-    for d in range(rank):
-        if abs(extent[d] - 1.0) > 1e-12:
-            raise ConfigError(f"{path}: periodized axis {d} has unit pitch; "
-                              f"extent[{d}] must be 1, got {extent[d]}")
+            raise ConfigError(f"{at(key)}: bad value for {key}: {exc}") \
+                from exc
 
-    preset = _get(entries, "forcing.preset", path, default="zero")
-    forcing_csv = _get(entries, "forcing.csv", path, default=None)
-    if forcing_csv is None and preset not in _PRESETS:
-        lineno = entries.get("forcing.preset", (None, 0))[1]
-        raise ConfigError(f"{path}:{lineno}: unknown forcing.preset "
-                          f"{preset!r} (choose from {_PRESETS} or give "
-                          "forcing.csv)")
+    for key in entries:
+        if key not in _SCHEMA:
+            raise ConfigError(f"{at(key)}: unknown key {key!r}")
+    values = {}
+    for key, (field, parse, default) in _SCHEMA.items():
+        if key in entries:
+            values[field] = read(key, parse, entries[key][0])
+        elif default is ...:
+            raise ConfigError(f"{path}: missing mandatory key {key!r}")
+        else:
+            values[field] = default
+    cfg = RunConfig(**values)
 
-    mode = _get(entries, "solver.mode", path, default="linear")
-    if mode not in ("linear", "nonlinear"):
-        lineno = entries["solver.mode"][1]
-        raise ConfigError(f"{path}:{lineno}: solver.mode must be linear or "
-                          f"nonlinear, got {mode!r}")
+    valid = {"box": (0,), "cylinder": (1, 2), "torus": (3,)}[cfg.kind]
+    if cfg.rank is None and len(valid) == 1:
+        cfg.rank = valid[0]
+    if cfg.rank not in valid:
+        raise ConfigError(f"{at('lattice.rank')}: domain.kind = {cfg.kind} "
+                          f"needs lattice.rank in {valid}, got {cfg.rank}")
+    cfg.anti_flags = read("lattice.anti_flags", _spin, cfg.anti_flags,
+                          cfg.rank)
+    if cfg.extent is None and cfg.kind != "torus":
+        raise ConfigError(f"{path}: domain.extent is mandatory for "
+                          f"{cfg.kind} domains")
+    cfg.extent = cfg.extent or (1.0, 1.0, 1.0)
+    for d in range(cfg.rank):
+        if abs(cfg.extent[d] - 1.0) > 1e-12:
+            raise ConfigError(f"{at('domain.extent')}: periodized axis {d} "
+                              f"has unit pitch; extent[{d}] must be 1, got "
+                              f"{cfg.extent[d]}")
+
+    # the domain builder's own rules: the spacings tile every axis, and the
+    # grid has 3 cells per free axis and at least 2 time slabs
+    from .domain import LatticeSpec, SpaceTimeGrid, _cells_to_count
+    space = "domain.extent" if "domain.extent" in entries else "grid.h"
+    dims = tuple(read(space, _cells_to_count, e, cfg.h, f"extent[{d}]")
+                 for d, e in enumerate(cfg.extent))
+    nt = read("time.horizon", _cells_to_count, cfg.horizon, cfg.dt, "horizon")
+    for key, slabs in ((space, 2), ("time.horizon", nt)):
+        read(key, SpaceTimeGrid, cfg.h, cfg.dt, dims, slabs,
+             LatticeSpec(cfg.rank, cfg.anti_flags))
+
+    if cfg.forcing_csv is None and cfg.forcing_preset not in _PRESETS:
+        raise ConfigError(f"{at('forcing.preset')}: unknown forcing.preset "
+                          f"{cfg.forcing_preset!r} (choose from {_PRESETS} "
+                          "or give forcing.csv)")
     for key in ("solver.max_iter", "solver.tol"):
-        if mode == "linear" and key in entries:
-            raise ConfigError(f"{path}:{entries[key][1]}: {key} applies "
-                              "only to solver.mode = nonlinear")
-
-    return RunConfig(
-        kind=kind,
-        extent=extent,
-        rank=rank,
-        anti_flags=anti_flags,
-        h=_get(entries, "grid.h", path, _positive),
-        dt=_get(entries, "grid.dt", path, _positive),
-        horizon=_get(entries, "time.horizon", path, _positive),
-        k=_get(entries, "kernel.k", path, _positive),
-        forcing_preset=preset,
-        forcing_csv=forcing_csv,
-        forcing_scale=_get(entries, "forcing.scale", path, _finite,
-                           default=1.0),
-        mode=mode,
-        max_iter=_get(entries, "solver.max_iter", path, _count, default=50),
-        tol=_get(entries, "solver.tol", path, _positive, default=1e-8),
-        quad_tol=_get(entries, "quad.tol", path, _positive, default=1e-10),
-        output_dir=_get(entries, "output.dir", path, default="out"),
-    )
+        if cfg.mode == "linear" and key in entries:
+            raise ConfigError(f"{at(key)}: {key} applies only to "
+                              "solver.mode = nonlinear")
+    return cfg
 
 
 def _bad_flag(checks) -> bool:
@@ -222,35 +229,6 @@ def _bad_flag(checks) -> bool:
     return False
 
 
-def _build_context(cfg: RunConfig):
-    from .domain import build_quotient_domain
-    from .kernels import KernelParams
-    from .lattice import LatticeSpec
-    from .potentials import OperatorContext
-    domain = build_quotient_domain(LatticeSpec(cfg.rank, cfg.anti_flags),
-                                   cfg.extent[cfg.rank:], cfg.horizon,
-                                   cfg.h, cfg.dt)
-    return OperatorContext(domain, KernelParams(cfg.k),
-                           quad_tol=cfg.quad_tol)
-
-
-def _build_forcing(cfg: RunConfig, ctx):
-    from . import verify
-    from .domain import Field, load_field_csv
-    grid = ctx.domain.grid
-    if cfg.forcing_csv is not None:
-        f = load_field_csv(cfg.forcing_csv, grid)
-    elif cfg.forcing_preset == "zero":
-        f = Field.zeros(grid)
-    elif cfg.forcing_preset == "vector_bump":
-        f = verify.vector_bump_field(grid)
-    elif cfg.forcing_preset == "divergence_free":
-        f = verify.divergence_free_field(grid)
-    else:
-        _, _, f = verify.manufactured_problem(ctx)
-    return f * cfg.forcing_scale
-
-
 def _write_text(path: Path, lines) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -259,11 +237,29 @@ def _write_text(path: Path, lines) -> None:
 
 
 def _set_up(cfg: RunConfig):
-    """Calibrated convention, context and forcing of a run."""
+    """Calibrated convention, context and forcing of a run; a forcing CSV
+    that does not fit the grid is refused before the calibration."""
     from . import verify
+    from .domain import Field, build_quotient_domain, load_field_csv
+    from .kernels import KernelParams
+    from .lattice import LatticeSpec
+    from .potentials import OperatorContext
+    domain = build_quotient_domain(LatticeSpec(cfg.rank, cfg.anti_flags),
+                                   cfg.extent[cfg.rank:], cfg.horizon,
+                                   cfg.h, cfg.dt)
+    if cfg.forcing_csv is not None:
+        try:
+            f = load_field_csv(cfg.forcing_csv, domain.grid)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad value for forcing.csv: {exc}") from exc
     verify.ensure_convention()
-    ctx = _build_context(cfg)
-    return ctx, _build_forcing(cfg, ctx)
+    ctx = OperatorContext(domain, KernelParams(cfg.k), quad_tol=cfg.quad_tol)
+    presets = {"zero": Field.zeros, "vector_bump": verify.vector_bump_field,
+               "divergence_free": verify.divergence_free_field,
+               "manufactured": lambda _: verify.manufactured_problem(ctx)[2]}
+    if cfg.forcing_csv is None:
+        f = presets[cfg.forcing_preset](domain.grid)
+    return ctx, f * cfg.forcing_scale
 
 
 def cmd_solve(args) -> int:
@@ -336,29 +332,14 @@ def cmd_kernel(args) -> int:
     import numpy as np
     from . import verify
     from .kernels import KernelParams, SpaceTimePoint
-    from .lattice import (LatticeSpec, brute_force_periodized,
+    from .lattice import (brute_force_periodized,
                           periodized_fundamental_solution)
-    try:
-        point = tuple(float(v) for v in args.point.split(","))
-        if len(point) != 3:
-            raise ValueError("need 3 coordinates")
-        if not all(map(math.isfinite, point)):
-            raise ValueError("coordinates must be finite")
-    except ValueError as exc:
-        print(f"bad --point: {exc}", file=sys.stderr)
+    if _bad_flag([("--point", args.point, _point),
+                  ("--time", args.time, _finite), ("--k", args.k, _positive),
+                  ("--tol", args.tol, _positive),
+                  ("--lattice", args.lattice, _lattice)]):
         return 2
-    if _bad_flag([("--time", args.time, _finite), ("--k", args.k, _positive),
-                  ("--tol", args.tol, _positive)]):
-        return 2
-    spec = LatticeSpec()
-    if args.lattice:
-        rank_text, _, flags_text = args.lattice.partition(",")
-        try:
-            rank = int(rank_text)
-            spec = LatticeSpec(rank, _parse_flags(flags_text, rank))
-        except ValueError as exc:
-            print(f"bad --lattice: {exc}", file=sys.stderr)
-            return 2
+    point, spec = _point(args.point), _lattice(args.lattice)
     if args.shells is not None and (args.shells < 0 or not spec.rank):
         print("bad --shells: need a count >= 0 and a lattice of rank 1..3",
               file=sys.stderr)
@@ -538,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated spatial coordinates")
     p_kernel.add_argument("--time", type=float, required=True)
     p_kernel.add_argument("--k", type=float, required=True)
-    p_kernel.add_argument("--lattice", default=None,
+    p_kernel.add_argument("--lattice", default="0",
                           help="rank[,flag,flag,...] for periodization")
     summation = p_kernel.add_mutually_exclusive_group()
     summation.add_argument("--shells", type=int, default=None)
@@ -567,6 +548,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.threads is not None:
+        if _bad_flag([("--threads", args.threads, _count)]):
+            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)

@@ -310,7 +310,7 @@ def build_quotient_domain(spec: LatticeSpec, free_extent, horizon: float,
     dims = tuple(_cells_to_count(e, h, f"extent[{d}]")
                  for d, e in enumerate(extent))
     nt = _cells_to_count(horizon, dt, "horizon")
-    grid = SpaceTimeGrid(h=h, dt=dt, dims=dims, nt=max(nt, 2), lattice=spec)
+    grid = SpaceTimeGrid(h=h, dt=dt, dims=dims, nt=nt, lattice=spec)
     return _build_domain(grid)
 
 

@@ -206,8 +206,7 @@ class _Convolution:
     def __init__(self, table: np.ndarray, data_shape):
         self.data_shape = tuple(data_shape)
         self.fft_shape = table.shape[1:-1]
-        self.k_hat = np.fft.rfftn(np.moveaxis(table, -1, 0),
-                                  s=self.fft_shape, axes=self._axes(1))
+        self.k_hat = self._forward(table, 1)
         live = np.any(table, axis=tuple(range(table.ndim - 1)))
         # (a, b) -> [(c, np.add or np.subtract)] for C[a, b, c] = +-1
         self.pairs: dict = {}

@@ -24,6 +24,9 @@ output.dir = {out}
 """
 
 
+BOX = {"domain.kind": "box", "domain.extent": "0.75,0.75,0.75"}
+
+
 def write_config(tmp_path, text=None, **overrides):
     text = text if text is not None else BASE_CONFIG
     body = text.format(out=tmp_path / "artifacts")
@@ -117,6 +120,16 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError,
                            match=rf":{lineno}: unknown key '{key}'"):
             cli.load_config(cfg)
+
+
+def test_readme_config_block_loads_and_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config files are line-oriented", 1)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block.split("```")[1])
+    cli.load_config(str(path))
+    assert [key for key in cli._SCHEMA if f"`{key}" not in readme
+            and f"\n{key} =" not in readme] == []
 
 
 class TestCommands:
@@ -254,6 +267,18 @@ class TestCommands:
         assert cli.main(["constants", "--config", write_config(tmp_path),
                          "--output", "out"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, threads, capsys, monkeypatch):
+        # these used to run on the default BLAS pool, as if no flag were given
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert cli.main(["--threads", threads, "kernel", "--point",
+                         "0.3,0.2,0.1", "--time", "0.5", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad --threads:") and not captured.out
+        assert "OMP_NUM_THREADS" not in os.environ
+
     def test_kernel_bad_point_exit_2(self, capsys):
         assert cli.main(["kernel", "--point", "0.3,0.2", "--time", "0.5",
                          "--k", "1.0"]) == 2
@@ -357,6 +382,49 @@ class TestCommands:
                          "--seed", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("bad --tol:") and not captured.out
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("key, settings, why", [
+        ("domain.extent", {**BOX, "domain.extent": "nan,0.75,0.75"},
+         "finite"),
+        ("domain.extent", {**BOX, "domain.extent": "inf,0.75,0.75"},
+         "finite"),
+        ("domain.extent", {**BOX, "domain.extent": "-0.75,0.75,0.75"},
+         "positive"),
+        ("domain.extent", {**BOX, "domain.extent": "0.7,0.75,0.75"},
+         "extent[0]: spacing 0.25 does not tile"),
+        ("domain.extent", {**BOX, "domain.extent": "0.5,0.75,0.75"},
+         "3 nodes"),
+        ("time.horizon", {**BOX, "grid.dt": "0.3"}, "does not tile"),
+        ("time.horizon", {**BOX, "grid.dt": "0.0625",
+                          "time.horizon": "0.0625"}, "2 time slabs"),
+        ("grid.h", {"grid.h": "0.3"}, "extent[0]: spacing 0.3 does not tile")])
+    def test_solve_refuses_geometry_without_a_grid_exit_2(
+            self, tmp_path, key, settings, why, capsys, no_calibration):
+        # each used to fail as a numerical error (exit 3) after the
+        # calibration, and the one-slab horizon ran two slabs; a torus
+        # that gives no extent is refused at its spacing
+        cfg = write_config(tmp_path, **settings)
+        lines = Path(cfg).read_text().splitlines()
+        lineno = max(i for i, line in enumerate(lines, start=1)
+                     if line.startswith(f"{key} ="))
+        assert cli.main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f":{lineno}: bad value for {key}: " in err and why in err
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("rows", [None, "x,y\n1,2\n"],
+                             ids=["missing", "wrong_shape"])
+    def test_solve_refuses_bad_forcing_csv_exit_2(self, tmp_path, rows,
+                                                  capsys, no_calibration):
+        csv = tmp_path / "forcing.csv"
+        if rows is not None:
+            csv.write_text(rows)
+        cfg = write_config(tmp_path, **{"forcing.csv": csv})
+        assert cli.main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad value for "
+                              "forcing.csv: ")
         assert not (tmp_path / "artifacts").exists()
 
     @pytest.mark.parametrize("mode", [

@@ -207,6 +207,12 @@ class TestQuotientDomain:
         with pytest.raises(ValueError):
             build_quotient_domain(spec, [], 0.5, 0.3, 0.125)
 
+    def test_one_slab_horizon_refused(self):
+        # a horizon of one slab used to be doubled silently
+        spec = LatticeSpec(3, (False,) * 3)
+        with pytest.raises(ValueError, match="2 time slabs"):
+            build_quotient_domain(spec, [], 0.0625, 0.25, 0.0625)
+
     def test_free_extent_count_exact(self):
         spec = LatticeSpec(1, (False,))
         with pytest.raises(ValueError, match="2 free-axis extents"):

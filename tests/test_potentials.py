@@ -668,6 +668,39 @@ class TestPrunedTransforms:
                                plain.apply_transpose(w))
 
 
+KERNEL_SPECTRUM_GEOMETRIES = {
+    "box_3x6": PRUNED_GEOMETRIES["box_3x6"],
+    "cylinder_a": lambda: cylinder_ctx(flags=(True,)),
+    "cylinder_ap": lambda: cylinder_ctx(flags=(True, False)),
+    "torus_ppp_4x8": lambda: torus_ctx(),
+    "torus_apa_4x8": lambda: torus_ctx(flags=(True, False, True)),
+    "torus_aaa_4x8": lambda: torus_ctx(flags=(True, True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECTRUM_GEOMETRIES))
+def test_kernel_spectra_are_rfftn_of_the_tables(name, monkeypatch):
+    # the kernel spectra come from the data transform: on a table that
+    # fills its FFT box it must give numpy's rfftn byte for byte
+    from wittflow import potentials
+    tables = []
+    init = potentials._Convolution.__init__
+
+    def record(conv, table, data_shape):
+        init(conv, table, data_shape)
+        tables.append((conv, table))
+    monkeypatch.setattr(potentials._Convolution, "__init__", record)
+    ctx = KERNEL_SPECTRUM_GEOMETRIES[name]()
+    potentials._volume_conv(ctx)
+    potentials._face_groups(ctx)
+    assert tables
+    for conv, table in tables:
+        assert table.shape[1:-1] == conv.fft_shape
+        assert_bitwise(conv.k_hat,
+                       np.fft.rfftn(np.moveaxis(table, -1, 0),
+                                    s=conv.fft_shape, axes=conv._axes(1)))
+
+
 class TestKeptComponents:
     """Operators asked for some output components compute those bitwise as
     in the full result, and leave exact zeros in the others."""
