@@ -64,6 +64,9 @@ def _parse_lines(path: str) -> dict[str, tuple[str, int]]:
         if not key or "." not in key:
             raise ConfigError(f"{path}:{lineno}: keys are dotted "
                               f"'section.key', got {key!r}")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{entries[key][1]}")
         entries[key] = (value, lineno)
     return entries
 

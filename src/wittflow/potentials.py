@@ -13,9 +13,9 @@ from the domain grid (``grid.lattice``); the context holds none of its own.
 
 The Bergman projection is computed algebraically from the boundary system
 ``trace o volume o boundary`` restricted to the causally active boundary
-components (the conormal null directions of each element, and every element
-of the final time slab, terminal cap included, contribute nothing to the
-boundary potential and are excluded from the square system).  Kernel
+components (the conormal null directions of each element, every element of
+the final time slab and the lateral elements of slab nt-2 contribute nothing
+to it), whose lateral columns are slab-0 probes shifted in time.  Kernel
 tables, face groups and the pseudo-inverses are built once per
 ``OperatorContext`` and live as long as it does.
 """
@@ -23,7 +23,6 @@ tables, face groups and the pseudo-inverses are built once per
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
@@ -544,16 +543,14 @@ def _assemble(apply_block, n: int, block: int) -> np.ndarray:
     return a
 
 
-def _pseudo_inverse(apply_block, n: int, block: int) -> _PseudoInverse:
-    """Truncated SVD of the linear map ``apply_block`` on ``n >= 1`` unknowns.
+def _pseudo_inverse(a: np.ndarray) -> _PseudoInverse:
+    """Truncated SVD of a dense system ``a`` with at least one column.
 
-    The system is assembled by ``_assemble``; the singular values above
-    ``_RCOND`` times the largest are kept.  The factors are truncated by
-    slicing: a boolean-mask copy would change their memory layout, hence
-    the BLAS path and the roundoff of every solve.
+    The singular values above ``_RCOND`` times the largest are kept.  The
+    factors are truncated by slicing: a boolean-mask copy would change their
+    memory layout, hence the BLAS path and the roundoff of every solve.
     """
-    u, s, vt = np.linalg.svd(_assemble(apply_block, n, block),
-                             full_matrices=False)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
         raise ConditioningError(
             "system vanished identically; no pseudo-inverse exists")
@@ -566,18 +563,20 @@ def _pseudo_inverse(apply_block, n: int, block: int) -> _PseudoInverse:
 # ---------------------------------------------------------------------------
 
 def _active_mask(ctx: OperatorContext) -> np.ndarray:
-    """Boundary components that can influence the boundary potential.
+    """Boundary components that can influence the boundary system.
 
     A component is inert where the element's conormal annihilates it (the
-    boundary potential weights the density by the conormal product), or
-    where the element lies in the final time slab (its potential reaches
-    only later slabs).  Restricting the boundary system to the other
-    components removes its structural null space.
+    boundary potential weights the density by the conormal product), where
+    the element lies in the final time slab (its potential reaches only
+    later slabs), or where a lateral element lies in slab ``nt - 2`` (its
+    potential reaches only the final slab, whose volume potential is zero).
+    This drops every column that vanishes in exact arithmetic.
     """
     def build():
         d = ctx.domain
         live = np.any(mul_matrix(d.b_conormal) != 0.0, axis=-2)
-        return live & (d.b_near[:, 3] < d.grid.nt - 1)[:, None]
+        last = d.grid.nt - 1 - (d.b_kind == 0)
+        return live & (d.b_near[:, 3] < last)[:, None]
     return ctx._cached("active_mask", build)
 
 
@@ -595,15 +594,56 @@ def _trace_volume(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
     return _trace(v, ctx).reshape(len(values), -1)
 
 
-def _bergman_columns(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
-    """Boundary system ``trace o volume o boundary`` on a block of active
-    densities ``(m, n_active)``."""
+def _bergman_volumes(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
+    """``volume o boundary`` on active densities ``(m, n_active)``."""
     f = _check_finite(_cauchy(_active_density(z, ctx), ctx))
-    return _trace_volume(f, ctx)
+    return _check_finite(_teodorescu(f, ctx))
+
+
+def _bergman_columns(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
+    """``trace o volume o boundary`` on a block of active densities: the
+    probe-by-probe reference of ``_bergman_system``."""
+    return _trace(_bergman_volumes(ctx, z), ctx).reshape(len(z), -1)
+
+
+def _bergman_system(ctx: OperatorContext) -> np.ndarray:
+    """Boundary system ``trace o volume o boundary`` on the active
+    components, from one slab of lateral probes shifted in time.
+
+    The kernel is causal and invariant under time translation, so the
+    column of a lateral element in slab ``s`` is the trace of the volume
+    potential of the same element in slab 0, moved ``s`` slabs later with
+    zeros before.  Only the slab-0 lateral and the cap components are
+    probed, one-hot in blocks of ``_probe_block``; a face family's elements
+    run slab first, so every slab's lateral columns follow slab 0's order.
+    Without lateral faces this is the block assembly of ``_bergman_columns``.
+    """
+    d = ctx.domain
+    elem = np.nonzero(_active_mask(ctx))[0]
+    # lateral columns by slab; the caps get -1, probed and never shifted
+    slab = np.where(d.b_kind[elem] == 0, d.b_near[elem, 3], -1)
+    by_slab = [np.flatnonzero(slab == s) for s in range(d.grid.nt - 2)]
+    probed = np.flatnonzero(slab < 1)
+    a = np.zeros((7 * d.n_boundary, len(elem)))
+    block = _probe_block(ctx)
+    for start in range(0, len(probed), block):
+        cols = probed[start:start + block]
+        z = np.zeros((len(cols), len(elem)))
+        z[np.arange(len(cols)), cols] = 1.0
+        v = _bergman_volumes(ctx, z)
+        caps = slab[cols] < 0
+        a[:, cols[caps]] = _trace(v[caps], ctx).reshape(-1, len(a)).T
+        v, lateral = v[~caps], cols[~caps]
+        for s, target in enumerate(by_slab):
+            moved = np.zeros_like(v)
+            moved[..., s:, :] = v[..., :d.grid.nt - s, :]
+            a[:, target[np.searchsorted(by_slab[0], lateral)]] = _trace(
+                moved, ctx).reshape(-1, len(a)).T
+    return a
 
 
 def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
-    """Pseudo-inverse of the boundary system ``trace o volume o boundary``.
+    """Pseudo-inverse of the boundary system (``_bergman_system``).
 
     Columns are restricted to the causally active boundary components, rows
     keep every component of the traced volume potential (the system maps
@@ -611,9 +651,8 @@ def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
     projector exactly idempotent even when strict causality makes the
     system rank deficient.
     """
-    return ctx._cached("bergman_factorization", lambda: _pseudo_inverse(
-        partial(_bergman_columns, ctx), int(np.sum(_active_mask(ctx))),
-        _probe_block(ctx)))
+    return ctx._cached("bergman_factorization",
+                       lambda: _pseudo_inverse(_bergman_system(ctx)))
 
 
 def _bergman_projection(values: np.ndarray, ctx: OperatorContext,

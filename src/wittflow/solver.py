@@ -27,8 +27,8 @@ import numpy as np
 
 from .domain import (Field, _check_finite, _grad, _sobolev_gram, diff_field,
                      discrete_grad, discrete_norm)
-from .potentials import (OperatorContext, _complement_volume, _probe_block,
-                         _pseudo_inverse, _teodorescu,
+from .potentials import (OperatorContext, _assemble, _complement_volume,
+                         _probe_block, _pseudo_inverse, _teodorescu,
                          bergman_projection_adjoint, teodorescu,
                          teodorescu_adjoint)
 
@@ -167,8 +167,8 @@ def _sweep(ctx: OperatorContext, g: Field) -> tuple[Field, Field]:
     velocity meaning, so the last volume potential computes only that part.
     """
     grid = ctx.domain.grid
-    fac = ctx._cached("pressure_system", lambda: _pseudo_inverse(
-        partial(_pressure_apply, ctx), grid.n_cells, _probe_block(ctx)))
+    fac = ctx._cached("pressure_system", lambda: _pseudo_inverse(_assemble(
+        partial(_pressure_apply, ctx), grid.n_cells, _probe_block(ctx))))
     p_flat = _zero_mean(fac.solve(_scalar_complement(ctx, g.values[None])[0]))
     p = Field.from_scalar(p_flat.reshape(grid.shape), grid)
     w = _complement_volume((g - discrete_grad(p)).values[None], ctx)

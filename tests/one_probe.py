@@ -6,11 +6,14 @@ plain numpy FFT calls, so the tests can check the cores bit for bit
 against an independent reference rather than against themselves.
 """
 
+from functools import partial
+
 import numpy as np
 
 from wittflow.domain import Field, discrete_spatial_dirac
-from wittflow.potentials import (_active_mask, _bergman_factorization,
-                                 _face_groups, _volume_conv)
+from wittflow.potentials import (_active_mask, _assemble,
+                                 _bergman_columns, _bergman_factorization,
+                                 _face_groups, _probe_block, _volume_conv)
 from wittflow.witt_algebra import mul_arrays
 
 
@@ -89,6 +92,15 @@ def bergman_column(ctx, z):
     """Boundary system ``trace o volume o boundary`` on one density."""
     return trace(teodorescu(cauchy(active_density(z, ctx), ctx), ctx),
                  ctx).reshape(-1)
+
+
+def bergman_system(ctx):
+    """The Bergman boundary system probed column by column: one one-hot
+    probe per active component, each through the whole operator stack, in
+    the library's probe blocks.  The library shifts slab-0 lateral probes
+    in time instead (``potentials._bergman_system``)."""
+    n = int(np.sum(_active_mask(ctx)))
+    return _assemble(partial(_bergman_columns, ctx), n, _probe_block(ctx))
 
 
 def pressure_column(ctx, p_flat):

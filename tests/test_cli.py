@@ -28,12 +28,19 @@ BOX = {"domain.kind": "box", "domain.extent": "0.75,0.75,0.75"}
 
 
 def write_config(tmp_path, text=None, **overrides):
+    """The config ``text`` (``BASE_CONFIG`` by default) with each override
+    rewriting its key's line in place, or appended if the key is new."""
     text = text if text is not None else BASE_CONFIG
-    body = text.format(out=tmp_path / "artifacts")
+    lines = text.format(out=tmp_path / "artifacts").splitlines()
     for key, value in overrides.items():
-        body += f"\n{key} = {value}\n"
+        at = [i for i, line in enumerate(lines)
+              if line.split("=", 1)[0].strip() == key]
+        if at:
+            lines[at[0]] = f"{key} = {value}"
+        else:
+            lines.append(f"{key} = {value}")
     path = tmp_path / "run.cfg"
-    path.write_text(body)
+    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -360,6 +367,21 @@ class TestCommands:
                                         key: value})
         assert cli.main(["solve", "--config", cfg]) == 2
         assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_solve_refuses_repeated_key_exit_2(self, tmp_path, capsys,
+                                               no_calibration):
+        # the last value used to win without a word, so an edited config
+        # could carry a stale setting that never took effect
+        cfg = write_config(tmp_path)
+        with open(cfg, "a") as f:
+            f.write("grid.h = 0.5\n")
+        lines = Path(cfg).read_text().splitlines()
+        first = lines.index("grid.h = 0.25") + 1
+        assert cli.main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert (f":{len(lines)}: key 'grid.h' repeats line {first}"
+                in err)
         assert not (tmp_path / "artifacts").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -580,6 +580,90 @@ class TestBlocks:
             assert a.tobytes() == want.tobytes()
 
 
+def cylinder_h4(flags):
+    """The (p) or (a) 4x3x3x8 and the (p,p) or (a,p) 4x4x3x8 cylinders:
+    h = 0.25, dt = 0.0625, free axes 0.75 long."""
+    spec = LatticeSpec(len(flags), flags)
+    d = build_quotient_domain(spec, [0.75] * (3 - spec.rank), 0.5, 0.25,
+                              0.0625)
+    return OperatorContext(d, KernelParams(1.0))
+
+
+SHIFT_GEOMETRIES = {
+    "box_3x6": lambda: pruned_ctx("box_3x6"),
+    "cylinder_p": lambda: cylinder_h4((False,)),
+    "cylinder_a": lambda: cylinder_h4((True,)),
+    "cylinder_pp": lambda: cylinder_h4((False, False)),
+    "cylinder_ap": lambda: cylinder_h4((True, False)),
+}
+
+
+class TestShiftedBergmanSystem:
+    """The Bergman system assembled from slab-0 lateral probes shifted in
+    time, against the probe-by-probe oracle ``one_probe.bergman_system``."""
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_GEOMETRIES))
+    def test_matches_probe_oracle(self, name):
+        # time-translation invariance holds to roundoff: measured at most
+        # 2.1e-16 of the largest entry on these five domains
+        import one_probe
+        from wittflow.potentials import _bergman_system
+        ctx = SHIFT_GEOMETRIES[name]()
+        want = one_probe.bergman_system(ctx)
+        got = _bergman_system(ctx)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["torus_p_4x8", "torus_a_4x8"])
+    def test_caps_only_factorization_is_the_oracle_bitwise(self, name):
+        # no lateral faces, nothing to shift: the same probes, blocks,
+        # matrix layout and SVD as the probe-by-probe assembly
+        import one_probe
+        from wittflow.potentials import (_bergman_factorization,
+                                         _pseudo_inverse)
+        ctx = pruned_ctx(name)
+        fac = _bergman_factorization(ctx)
+        want = _pseudo_inverse(one_probe.bergman_system(ctx))
+        assert_bitwise(fac.u, want.u)
+        assert_bitwise(fac.s, want.s)
+        assert_bitwise(fac.vt, want.vt)
+
+    @pytest.mark.parametrize("nt", [2, 3])
+    def test_short_horizons(self, nt):
+        # slab nt - 2 is inert: at nt = 3 only slab 0 holds active lateral
+        # elements, so nothing is shifted; at nt = 2 none does
+        import one_probe
+        from wittflow.potentials import (_active_mask,
+                                         _bergman_factorization,
+                                         _bergman_system)
+        ctx = box_ctx(n=3, nt=nt)
+        d = ctx.domain
+        lateral = d.b_kind == 0
+        active = _active_mask(ctx)[lateral].any(axis=1)
+        assert set(d.b_near[lateral][active, 3]) == set(range(nt - 2))
+        assert_bitwise(_bergman_system(ctx), one_probe.bergman_system(ctx))
+        assert len(_bergman_factorization(ctx).s) > 0
+
+    @pytest.mark.parametrize("n, nt, probes, columns", [
+        (3, 6, 270, 918), (4, 8, 512, 2432)])
+    def test_probe_count(self, n, nt, probes, columns, monkeypatch):
+        # the slab-0 lateral and initial-cap probes: 216 + 54 on the 3^3x6
+        # box and 384 + 128 on the 4^3x8 one, where every active component
+        # took a probe before (1134 and 2816)
+        from wittflow import potentials
+        cauchy = potentials._cauchy
+        rows = []
+
+        def counted(values, ctx, keep=potentials._ALL):
+            rows.append(len(values))
+            return cauchy(values, ctx, keep)
+        monkeypatch.setattr(potentials, "_cauchy", counted)
+        d = build_box_domain((0.25 * n,) * 3, 0.0625 * nt, 0.25, 0.0625)
+        a = potentials._bergman_system(OperatorContext(d, KernelParams(1.0)))
+        assert sum(rows) == probes
+        assert a.shape == (7 * d.n_boundary, columns)
+
+
 def embedded_forward(conv, values, lead):
     """Spectra the plain way: zero-embed the data in the full FFT box and
     transform every line of it with one ``rfftn``."""
@@ -752,7 +836,7 @@ class TestKeptComponents:
 
 class TestPseudoInverse:
     def test_keeps_singular_values_above_relative_cutoff(self):
-        from wittflow.potentials import _RCOND, _pseudo_inverse
+        from wittflow.potentials import _RCOND, _assemble, _pseudo_inverse
         rng = np.random.default_rng(14)
         q_out, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         q_in, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -764,7 +848,7 @@ class TestPseudoInverse:
         def apply(x):
             calls.append(x.copy())
             return x @ a.T
-        fac = _pseudo_inverse(apply, 6, 4)
+        fac = _pseudo_inverse(_assemble(apply, 6, 4))
         # one one-hot probe per unknown, in blocks of at most 4
         assert [len(x) for x in calls] == [4, 2]
         assert np.array_equal(np.concatenate(calls), np.eye(6))
@@ -779,7 +863,7 @@ class TestPseudoInverse:
     def test_zero_operator_raises(self):
         from wittflow.potentials import ConditioningError, _pseudo_inverse
         with pytest.raises(ConditioningError):
-            _pseudo_inverse(lambda x: np.zeros((len(x), 4)), 3, 2)
+            _pseudo_inverse(np.zeros((4, 3)))
 
 
 class TestContextValidation:
