@@ -15,7 +15,9 @@ The Bergman projection is computed algebraically from the boundary system
 ``trace o volume o boundary`` restricted to the causally active boundary
 components (the conormal null directions of each element, every element of
 the final time slab and the lateral elements of slab nt-2 contribute nothing
-to it), whose lateral columns are slab-0 probes shifted in time.  Kernel
+to it), whose lateral columns are slab-0 probes shifted in time, and to the
+causally live rows (the lateral elements of slab 0 trace only the volume
+potential's slab 0, which is zero).  Kernel
 tables, face groups and the pseudo-inverses are built once per
 ``OperatorContext`` and live as long as it does.
 """
@@ -529,7 +531,8 @@ def _assemble(apply_block, n: int, block: int) -> np.ndarray:
     """Dense matrix of a linear map on ``n`` unknowns, from one-hot probes.
 
     ``apply_block`` maps a block of probes ``(m, n)`` to their columns
-    ``(m, rows)``; the probes go through it ``block`` at a time.
+    ``(m, rows)``; the probes go through it ``block`` at a time, and their
+    columns are stored column-major.
     """
     a = None
     for start in range(0, n, block):
@@ -538,7 +541,7 @@ def _assemble(apply_block, n: int, block: int) -> np.ndarray:
         probes[np.arange(stop - start), np.arange(start, stop)] = 1.0
         columns = apply_block(probes)
         if a is None:
-            a = np.zeros((columns.shape[1], n))
+            a = np.zeros((columns.shape[1], n), order="F")
         a[:, start:stop] = columns.T
     return a
 
@@ -548,7 +551,10 @@ def _pseudo_inverse(a: np.ndarray) -> _PseudoInverse:
 
     The singular values above ``_RCOND`` times the largest are kept.  The
     factors are truncated by slicing: a boolean-mask copy would change their
-    memory layout, hence the BLAS path and the roundoff of every solve.
+    memory layout, hence the BLAS path and the roundoff of every solve.  The
+    layout of ``a`` does not matter: numpy's SVD gives the same ``u``,
+    ``s``, ``vt`` bytes and strides for a column-major matrix (as the
+    assemblies build) and for a row-major copy of it.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
@@ -580,6 +586,20 @@ def _active_mask(ctx: OperatorContext) -> np.ndarray:
     return ctx._cached("active_mask", build)
 
 
+def _live_rows(ctx: OperatorContext) -> np.ndarray:
+    """Boundary elements whose 7 rows the boundary system keeps.
+
+    The row rule beside ``_active_mask``'s column rule: the volume
+    potential is zero on slab 0 (the kernel is causal), so an element whose
+    trace reads only slab 0 (``b_near`` and ``b_next`` both there: a lateral
+    element of slab 0) has rows that vanish identically, and it gets none.
+    """
+    def build():
+        d = ctx.domain
+        return np.maximum(d.b_near[:, 3], d.b_next[:, 3]) > 0
+    return ctx._cached("live_rows", build)
+
+
 def _active_density(z: np.ndarray, ctx: OperatorContext) -> np.ndarray:
     """Boundary densities ``(m, n_boundary, 7)`` holding the rows of ``z``
     on the active components, else 0."""
@@ -588,10 +608,16 @@ def _active_density(z: np.ndarray, ctx: OperatorContext) -> np.ndarray:
     return values
 
 
+def _system_rows(v: np.ndarray, ctx: OperatorContext) -> np.ndarray:
+    """Flat traces ``(m, rows)`` of a block of fields on the live rows."""
+    live = _live_rows(ctx)
+    return _trace(v, ctx)[:, live].reshape(len(v), 7 * np.count_nonzero(live))
+
+
 def _trace_volume(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
-    """Flat traced volume potentials ``(m, rows)`` of a block of fields."""
-    v = _check_finite(_teodorescu(values, ctx))
-    return _trace(v, ctx).reshape(len(values), -1)
+    """Flat traced volume potentials ``(m, rows)`` of a block of fields, on
+    the live rows."""
+    return _system_rows(_check_finite(_teodorescu(values, ctx)), ctx)
 
 
 def _bergman_volumes(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
@@ -601,14 +627,15 @@ def _bergman_volumes(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
 
 
 def _bergman_columns(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
-    """``trace o volume o boundary`` on a block of active densities: the
-    probe-by-probe reference of ``_bergman_system``."""
+    """``trace o volume o boundary`` on a block of active densities, on
+    every row: the probe-by-probe reference of ``_bergman_system``."""
     return _trace(_bergman_volumes(ctx, z), ctx).reshape(len(z), -1)
 
 
 def _bergman_system(ctx: OperatorContext) -> np.ndarray:
-    """Boundary system ``trace o volume o boundary`` on the active
-    components, from one slab of lateral probes shifted in time.
+    """Boundary system ``trace o volume o boundary`` from the active
+    components to the live rows, from one slab of lateral probes shifted in
+    time, assembled column-major.
 
     The kernel is causal and invariant under time translation, so the
     column of a lateral element in slab ``s`` is the trace of the volume
@@ -616,7 +643,8 @@ def _bergman_system(ctx: OperatorContext) -> np.ndarray:
     zeros before.  Only the slab-0 lateral and the cap components are
     probed, one-hot in blocks of ``_probe_block``; a face family's elements
     run slab first, so every slab's lateral columns follow slab 0's order.
-    Without lateral faces this is the block assembly of ``_bergman_columns``.
+    Without lateral faces every row is live, and this is the block assembly
+    of ``_bergman_columns``.
     """
     d = ctx.domain
     elem = np.nonzero(_active_mask(ctx))[0]
@@ -624,7 +652,8 @@ def _bergman_system(ctx: OperatorContext) -> np.ndarray:
     slab = np.where(d.b_kind[elem] == 0, d.b_near[elem, 3], -1)
     by_slab = [np.flatnonzero(slab == s) for s in range(d.grid.nt - 2)]
     probed = np.flatnonzero(slab < 1)
-    a = np.zeros((7 * d.n_boundary, len(elem)))
+    a = np.zeros((7 * np.count_nonzero(_live_rows(ctx)), len(elem)),
+                 order="F")
     block = _probe_block(ctx)
     for start in range(0, len(probed), block):
         cols = probed[start:start + block]
@@ -632,24 +661,24 @@ def _bergman_system(ctx: OperatorContext) -> np.ndarray:
         z[np.arange(len(cols)), cols] = 1.0
         v = _bergman_volumes(ctx, z)
         caps = slab[cols] < 0
-        a[:, cols[caps]] = _trace(v[caps], ctx).reshape(-1, len(a)).T
+        a[:, cols[caps]] = _system_rows(v[caps], ctx).T
         v, lateral = v[~caps], cols[~caps]
         for s, target in enumerate(by_slab):
             moved = np.zeros_like(v)
             moved[..., s:, :] = v[..., :d.grid.nt - s, :]
-            a[:, target[np.searchsorted(by_slab[0], lateral)]] = _trace(
-                moved, ctx).reshape(-1, len(a)).T
+            a[:, target[np.searchsorted(by_slab[0], lateral)]] = \
+                _system_rows(moved, ctx).T
     return a
 
 
 def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
     """Pseudo-inverse of the boundary system (``_bergman_system``).
 
-    Columns are restricted to the causally active boundary components, rows
-    keep every component of the traced volume potential (the system maps
-    between different component sectors).  The truncated SVD keeps the
-    projector exactly idempotent even when strict causality makes the
-    system rank deficient.
+    Columns are restricted to the causally active boundary components and
+    rows to the live ones; a live row keeps every component of the traced
+    volume potential (the system maps between different component
+    sectors).  The truncated SVD keeps the projector exactly idempotent
+    even when strict causality makes the system rank deficient.
     """
     return ctx._cached("bergman_factorization",
                        lambda: _pseudo_inverse(_bergman_system(ctx)))
@@ -662,9 +691,9 @@ def _bergman_projection(values: np.ndarray, ctx: OperatorContext,
     Each field is solved on its own (one GEMV per field): a block solve by
     GEMM would round differently, and the box pressure amplifies a 1e-15
     relative change in this projection to 2e-8.  The density solve reads
-    every component of the traced volume potential; only the boundary
-    potential it feeds is cut to the output components in ``keep`` (the
-    others are exact zeros).
+    every component of the traced volume potential on the live rows; only
+    the boundary potential it feeds is cut to the output components in
+    ``keep`` (the others are exact zeros).
     """
     fac = _bergman_factorization(ctx)
     z = np.stack([fac.solve(b) for b in _trace_volume(values, ctx)])
@@ -706,6 +735,6 @@ def bergman_projection_adjoint(w: Field, ctx: OperatorContext) -> Field:
     """Plain-coordinate transpose of the Bergman projection."""
     fac = _bergman_factorization(ctx)
     rhs = cauchy_adjoint(w, ctx).values[_active_mask(ctx)]
-    z = fac.solve_transpose(rhs)
-    bd = BoundaryData(z.reshape(-1, 7), ctx.domain)
+    bd = BoundaryData.zeros(ctx.domain)
+    bd.values[_live_rows(ctx)] = fac.solve_transpose(rhs).reshape(-1, 7)
     return teodorescu_adjoint(trace_adjoint(bd, ctx), ctx)

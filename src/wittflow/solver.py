@@ -41,6 +41,7 @@ __all__ = [
     "solve_linear",
     "fixed_point_solve",
     "estimate_constants",
+    "ContractionConstants",
     "convergence_check",
     "MAX_PRESSURE_CELLS",
 ]
@@ -51,6 +52,11 @@ MAX_PRESSURE_CELLS = 4000
 # Algebra components the pressure (scalar) and velocity (e-vector) read.
 _SCALAR = (0,)
 _VECTOR = (1, 2, 3)
+
+# C1's Lanczos iteration stops once the top Ritz pair's residual is at most
+# _RITZ_RTOL times its Ritz value, or after _LANCZOS_STEPS steps.
+_RITZ_RTOL = 1e-8
+_LANCZOS_STEPS = 200
 
 
 class SolverDivergence(RuntimeError):
@@ -89,7 +95,9 @@ class NavierStokesProblem:
 class SolverReport:
     """Outcome of a solve.  ``residual_history`` holds the W11 norm of each
     sweep's velocity step: for a linear solve only the one step from rest
-    (the velocity's own norm); the constants and verdict stay unset there."""
+    (the velocity's own norm); the constants and verdict stay unset there.
+    ``C1_steps`` and ``C1_residual`` are the Lanczos steps and the relative
+    Ritz residual behind an estimated C1 (unset for given constants)."""
 
     residual_history: list[float]
     C1: float = float("nan")
@@ -99,6 +107,8 @@ class SolverReport:
     admissible: bool | None = None
     converged: bool = True
     warnings: list[str] = dataclass_field(default_factory=list)
+    C1_steps: int | None = None
+    C1_residual: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -215,9 +225,9 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
         u = Field(vals, grid)
 
     if constants is None:
-        c1, c2 = estimate_constants(ctx, seed=seed)
+        constants = estimate_constants(ctx, seed=seed)
     else:
-        c1, c2 = constants
+        constants = ContractionConstants(*constants, None, None)
 
     history: list[float] = []
     converged = False
@@ -235,21 +245,22 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
             converged = True
             break
         if growths >= 3:
-            report = _diagnosed_report(history, c1, c2, prob.forcing, u0,
-                                       False, warnings)
+            report = _diagnosed_report(history, constants, prob.forcing,
+                                       u0, False, warnings)
             raise SolverDivergence(
                 "fixed-point residual grew three consecutive iterations",
                 report)
 
     if not converged:
         warnings.append("iteration cap reached before the tolerance")
-    report = _diagnosed_report(history, c1, c2, prob.forcing, u0,
+    report = _diagnosed_report(history, constants, prob.forcing, u0,
                                converged, warnings)
     return u, p, report
 
 
-def _diagnosed_report(history, c1, c2, forcing, u0, converged,
+def _diagnosed_report(history, constants, forcing, u0, converged,
                       warnings) -> SolverReport:
+    c1, c2 = constants
     f_norm = discrete_norm(forcing, "L2")
     u0_norm = 0.0 if u0 is None else discrete_norm(u0, "W11")
     admissible, w_const, l_const = convergence_check(c1, c2, f_norm, u0_norm)
@@ -262,6 +273,7 @@ def _diagnosed_report(history, c1, c2, forcing, u0, converged,
     return SolverReport(
         residual_history=list(history),
         C1=c1, C2=c2, W=w_const, L=l_const,
+        C1_steps=constants.c1_steps, C1_residual=constants.c1_residual,
         admissible=admissible,
         converged=converged,
         warnings=warnings,
@@ -283,41 +295,76 @@ def _composite_transpose(ctx: OperatorContext, w: Field) -> Field:
     return teodorescu_adjoint(inner, ctx)
 
 
+class ContractionConstants(tuple):
+    """The pair ``(C1, C2)``, carrying C1's Lanczos step count
+    (``c1_steps``) and the relative Ritz residual of its last step
+    (``c1_residual``); both are None for constants given by the caller."""
+
+    def __new__(cls, c1: float, c2: float, steps: int | None,
+                residual: float | None):
+        pair = super().__new__(cls, (c1, c2))
+        pair.c1_steps = steps
+        pair.c1_residual = residual
+        return pair
+
+
+def _composite_norm(ctx: OperatorContext,
+                    v: np.ndarray) -> tuple[float, int, float]:
+    """Largest singular value of the velocity composite from the L2 to the
+    W11 norm, by Lanczos with full reorthogonalization on its normal
+    operator, started at ``v``.  Returns the value, the steps (one normal
+    operator application each) and the relative Ritz residual of the last
+    step.
+    """
+    grid = ctx.domain.grid
+
+    def normal(x):
+        av = _composite(ctx, Field(x.reshape(v.shape), grid))
+        z = _composite_transpose(ctx, _sobolev_gram(av))
+        return z.values.reshape(-1) / grid.cell_volume
+
+    basis = [v.reshape(-1) / np.linalg.norm(v)]
+    alpha, beta = [], []
+    for steps in range(1, min(_LANCZOS_STEPS, v.size) + 1):
+        w = normal(basis[-1])
+        if steps == 1 and not np.any(w):
+            raise RuntimeError("the velocity composite vanished on this "
+                               "grid: its norm cannot be estimated")
+        alpha.append(basis[-1] @ w)
+        q = np.array(basis)
+        for _ in range(2):
+            w -= q.T @ (q @ w)
+        beta.append(np.linalg.norm(w))
+        tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        theta, s = np.linalg.eigh(tri)
+        if not (np.isfinite(theta[-1]) and theta[-1] > 0):
+            raise RuntimeError("Lanczos iteration for the composite norm "
+                               "stalled")
+        residual = float(beta[-1] * abs(s[-1, -1]) / theta[-1])
+        if residual <= _RITZ_RTOL:
+            break
+        basis.append(w / beta[-1])
+    return float(np.sqrt(theta[-1])), steps, residual
+
+
 def estimate_constants(ctx: OperatorContext,
-                       seed: int = 0) -> tuple[float, float]:
+                       seed: int = 0) -> ContractionConstants:
     """Operator norm of the velocity composite, and the convective constant.
 
-    The first constant is the largest singular value of the composite
+    The first constant, C1, is the largest singular value of the composite
     volume-complement-volume map between the discrete L2 and first-order
-    Sobolev norms, found by power iteration on the normal operator (20
-    iterations or 1e-6 relative stagnation).  The second maximizes the
-    convective quotient over 200 seeded random smooth bump fields and is an
-    empirical lower bound for the true constant.
+    Sobolev norms: the square root of the top eigenvalue of its normal
+    operator, found by Lanczos from a seeded random start.  It stops once
+    the top Ritz pair's residual is at most ``_RITZ_RTOL`` = 1e-8 of its
+    Ritz value (or after ``_LANCZOS_STEPS``), so C1 is within about 5e-9
+    relative of the norm.  The second, C2, maximizes the convective
+    quotient over 200 seeded random smooth bump fields: a sampled lower
+    bound of the true constant, not the constant itself.
     """
     grid = ctx.domain.grid
     rng = np.random.default_rng(seed)
-    vol = grid.cell_volume
-
-    v = Field(rng.standard_normal(grid.shape + (7,)), grid)
-    lam = 0.0
-    for _ in range(20):
-        av = _composite(ctx, v)
-        gav = _sobolev_gram(av)
-        z = _composite_transpose(ctx, gav)
-        lam_new = float(np.sum(av.values * gav.values)
-                        / (vol * np.sum(v.values * v.values)))
-        z_norm = np.linalg.norm(z.values)
-        if z_norm == 0:
-            raise RuntimeError("the velocity composite vanished on this "
-                               "grid: its norm cannot be estimated")
-        v = Field(z.values / (vol * z_norm), grid)
-        if lam > 0 and abs(lam_new - lam) <= 1e-6 * lam:
-            lam = lam_new
-            break
-        lam = lam_new
-    if not np.isfinite(lam) or lam < 0:
-        raise RuntimeError("power iteration for the composite norm stalled")
-    c1 = float(np.sqrt(lam))
+    c1, steps, residual = _composite_norm(
+        ctx, rng.standard_normal(grid.shape + (7,)))
 
     c2 = 0.0
     xs, ts = grid.node_positions()
@@ -341,7 +388,7 @@ def estimate_constants(ctx: OperatorContext,
         c2 = max(c2, float(ratio))
     if c2 <= 0:
         raise RuntimeError("convective constant sampling degenerated")
-    return c1, c2
+    return ContractionConstants(c1, c2, steps, residual)
 
 
 def _forcing_bound(c1: float, c2: float) -> float:

@@ -13,7 +13,8 @@ import numpy as np
 from wittflow.domain import Field, discrete_spatial_dirac
 from wittflow.potentials import (_active_mask, _assemble,
                                  _bergman_columns, _bergman_factorization,
-                                 _face_groups, _probe_block, _volume_conv)
+                                 _face_groups, _live_rows, _probe_block,
+                                 _volume_conv)
 from wittflow.witt_algebra import mul_arrays
 
 
@@ -97,24 +98,31 @@ def bergman_column(ctx, z):
 def bergman_system(ctx):
     """The Bergman boundary system probed column by column: one one-hot
     probe per active component, each through the whole operator stack, in
-    the library's probe blocks.  The library shifts slab-0 lateral probes
-    in time instead (``potentials._bergman_system``)."""
+    the library's probe blocks, on every row.  The library shifts slab-0
+    lateral probes in time instead and keeps only the live rows
+    (``potentials._bergman_system``)."""
     n = int(np.sum(_active_mask(ctx)))
     return _assemble(partial(_bergman_columns, ctx), n, _probe_block(ctx))
+
+
+def live(a, ctx):
+    """The rows of a full-row boundary system that the library keeps."""
+    return a[np.repeat(_live_rows(ctx), 7)]
 
 
 def pressure_column(ctx, p_flat):
     """Scalar system map ``p -> Re(Q T D p)`` with zero-mean gauge.
 
     The gradient takes the Dirac operator of the scalar through algebra
-    products, and the Bergman projection solves one right side by GEMV.
+    products, and the Bergman projection solves one right side, its live
+    rows, by GEMV.
     """
     grid = ctx.domain.grid
     p = p_flat.reshape(grid.shape)
     p = p - p.mean()
     dirac = discrete_spatial_dirac(Field.from_scalar(p, grid))
     v = teodorescu(Field.from_vector(dirac.vector(), grid).values, ctx)
-    rhs = trace(teodorescu(v, ctx), ctx).reshape(-1)
+    rhs = trace(teodorescu(v, ctx), ctx)[_live_rows(ctx)].reshape(-1)
     z = _bergman_factorization(ctx).solve(rhs)
     s = (v - cauchy(active_density(z, ctx), ctx))[..., 0]
     return (s - s.mean()).reshape(-1)

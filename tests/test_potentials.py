@@ -600,28 +600,36 @@ SHIFT_GEOMETRIES = {
 
 class TestShiftedBergmanSystem:
     """The Bergman system assembled from slab-0 lateral probes shifted in
-    time, against the probe-by-probe oracle ``one_probe.bergman_system``."""
+    time, on the live rows, against the probe-by-probe oracle
+    ``one_probe.bergman_system``, which keeps every row."""
 
     @pytest.mark.parametrize("name", sorted(SHIFT_GEOMETRIES))
     def test_matches_probe_oracle(self, name):
         # time-translation invariance holds to roundoff: measured at most
-        # 2.1e-16 of the largest entry on these five domains
+        # 2.1e-16 of the largest entry on these five domains.  Every row
+        # the row rule drops is exactly zero in the oracle: the volume
+        # potential's slab 0 is a structural zero
         import one_probe
-        from wittflow.potentials import _bergman_system
+        from wittflow.potentials import _bergman_system, _live_rows
         ctx = SHIFT_GEOMETRIES[name]()
         want = one_probe.bergman_system(ctx)
+        dropped = ~np.repeat(_live_rows(ctx), 7)
+        assert dropped.any()
+        assert np.all(want[dropped] == 0.0)
         got = _bergman_system(ctx)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert got.shape == one_probe.live(want, ctx).shape
+        assert np.abs(got - one_probe.live(want, ctx)).max() \
+            <= 1e-15 * np.abs(want).max()
 
     @pytest.mark.parametrize("name", ["torus_p_4x8", "torus_a_4x8"])
     def test_caps_only_factorization_is_the_oracle_bitwise(self, name):
-        # no lateral faces, nothing to shift: the same probes, blocks,
-        # matrix layout and SVD as the probe-by-probe assembly
+        # no lateral faces, nothing to shift and no row to drop: the same
+        # probes, blocks and SVD as the probe-by-probe assembly
         import one_probe
-        from wittflow.potentials import (_bergman_factorization,
+        from wittflow.potentials import (_bergman_factorization, _live_rows,
                                          _pseudo_inverse)
         ctx = pruned_ctx(name)
+        assert _live_rows(ctx).all()
         fac = _bergman_factorization(ctx)
         want = _pseudo_inverse(one_probe.bergman_system(ctx))
         assert_bitwise(fac.u, want.u)
@@ -631,7 +639,9 @@ class TestShiftedBergmanSystem:
     @pytest.mark.parametrize("nt", [2, 3])
     def test_short_horizons(self, nt):
         # slab nt - 2 is inert: at nt = 3 only slab 0 holds active lateral
-        # elements, so nothing is shifted; at nt = 2 none does
+        # elements, so nothing is shifted; at nt = 2 none does.  The 54
+        # lateral elements of slab 0 have no rows: 108 of 162 elements
+        # keep theirs at nt = 2, 162 of 216 at nt = 3
         import one_probe
         from wittflow.potentials import (_active_mask,
                                          _bergman_factorization,
@@ -641,7 +651,9 @@ class TestShiftedBergmanSystem:
         lateral = d.b_kind == 0
         active = _active_mask(ctx)[lateral].any(axis=1)
         assert set(d.b_near[lateral][active, 3]) == set(range(nt - 2))
-        assert_bitwise(_bergman_system(ctx), one_probe.bergman_system(ctx))
+        a = _bergman_system(ctx)
+        assert len(a) == {2: 756, 3: 1134}[nt]
+        assert_bitwise(a, one_probe.live(one_probe.bergman_system(ctx), ctx))
         assert len(_bergman_factorization(ctx).s) > 0
 
     @pytest.mark.parametrize("n, nt, probes, columns", [
@@ -649,7 +661,8 @@ class TestShiftedBergmanSystem:
     def test_probe_count(self, n, nt, probes, columns, monkeypatch):
         # the slab-0 lateral and initial-cap probes: 216 + 54 on the 3^3x6
         # box and 384 + 128 on the 4^3x8 one, where every active component
-        # took a probe before (1134 and 2816)
+        # took a probe before (1134 and 2816).  The slab-0 lateral elements
+        # have no rows: 54 of 378 elements on 3^3x6, 96 of 896 on 4^3x8
         from wittflow import potentials
         cauchy = potentials._cauchy
         rows = []
@@ -661,7 +674,35 @@ class TestShiftedBergmanSystem:
         d = build_box_domain((0.25 * n,) * 3, 0.0625 * nt, 0.25, 0.0625)
         a = potentials._bergman_system(OperatorContext(d, KernelParams(1.0)))
         assert sum(rows) == probes
-        assert a.shape == (7 * d.n_boundary, columns)
+        assert a.shape == ({3: 2268, 4: 5600}[n], columns)
+
+
+class TestMatrixLayout:
+    """The dense systems are assembled column-major, and numpy's SVD gives
+    the same factors, bit for bit and stride for stride, as for a
+    row-major copy: the layout changes neither the pseudo-inverse nor the
+    roundoff of any solve."""
+
+    @pytest.mark.parametrize("system", ["bergman", "pressure"])
+    @pytest.mark.parametrize("name", ["box_3x6", "torus_p_4x8",
+                                      "torus_a_4x8"])
+    def test_column_major_svd_is_the_row_major_one(self, name, system):
+        from functools import partial
+        from wittflow.potentials import (_assemble, _bergman_system,
+                                         _probe_block)
+        from wittflow.solver import _pressure_apply
+        ctx = pruned_ctx(name)
+        if system == "bergman":
+            a = _bergman_system(ctx)
+        else:
+            a = _assemble(partial(_pressure_apply, ctx),
+                          ctx.domain.grid.n_cells, _probe_block(ctx))
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+        got = np.linalg.svd(a, full_matrices=False)
+        want = np.linalg.svd(np.ascontiguousarray(a), full_matrices=False)
+        for x, y in zip(got, want):
+            assert_bitwise(x, y)
+            assert x.strides == y.strides
 
 
 def embedded_forward(conv, values, lead):

@@ -151,9 +151,52 @@ class TestConstants:
         c1a, c2a = estimate_constants(small_ctx, seed=0)
         assert (c1a, c2a) == constants
 
+    @pytest.mark.parametrize("flags, free", [
+        ((False, False, False), []), ((True, True, True), []),
+        ((True,), [1.0, 1.0])], ids=["torus_p", "torus_a", "cylinder_a"])
+    def test_c1_matches_eigsh(self, flags, free):
+        # C1 is the square root of the top eigenvalue of the composite's
+        # normal operator; scipy's eigsh on the same operator is the
+        # reference.  The top eigenvalue is degenerate on the tori, which
+        # slows a power iteration down but not Lanczos
+        from scipy.sparse.linalg import LinearOperator, eigsh
+        from wittflow.domain import _sobolev_gram
+        from wittflow.solver import _composite, _composite_transpose
+        spec = LatticeSpec(len(flags), flags)
+        d = build_quotient_domain(spec, free, 0.5, 1.0 / 3, 0.125)
+        ctx = OperatorContext(d, KernelParams(1.0))
+        g = d.grid
+        shape = g.shape + (7,)
+
+        def normal(x):
+            av = _composite(ctx, Field(x.reshape(shape), g))
+            z = _composite_transpose(ctx, _sobolev_gram(av))
+            return z.values.reshape(-1) / g.cell_volume
+        n = int(np.prod(shape))
+        op = LinearOperator((n, n), matvec=normal, dtype=float)
+        lam = eigsh(op, k=1, which="LA", tol=1e-13,
+                    v0=np.ones(n))[0][0]
+        constants = estimate_constants(ctx, seed=0)
+        assert constants[0] == pytest.approx(np.sqrt(lam), rel=1e-8)
+        assert constants.c1_residual <= 1e-8
+        assert 1 <= constants.c1_steps < 100
+
+    def test_report_carries_lanczos_diagnostics(self, small_ctx, constants):
+        # an estimated C1 brings its step count and Ritz residual to the
+        # report; given constants leave them unset
+        prob = NavierStokesProblem(small_ctx,
+                                   Field.zeros(small_ctx.domain.grid))
+        _, _, report = fixed_point_solve(prob, max_iter=1)
+        assert (report.C1, report.C2) == constants
+        assert report.C1_steps == constants.c1_steps
+        assert report.C1_residual == constants.c1_residual <= 1e-8
+        _, _, given = fixed_point_solve(prob, max_iter=1,
+                                        constants=(1.0, 1.0))
+        assert given.C1_steps is None and given.C1_residual is None
+
     def test_vanishing_composite_is_named(self):
         # on two time slabs the composite maps everything to zero; the
-        # power iterate must not be divided by its zero norm
+        # Lanczos vector must not be divided by its zero norm
         from wittflow.domain import build_box_domain
         d = build_box_domain((0.75,) * 3, 0.125, 0.25, 0.0625)
         ctx = OperatorContext(d, KernelParams(1.0))
@@ -238,11 +281,12 @@ class TestLinearSolve:
             assert a.tobytes() == want.tobytes()
 
     def test_box_solve_within_roundoff_envelope_of_probe_oracle(self):
-        # the shifted Bergman system differs from the probe-by-probe one by
-        # roundoff, which the box pressure amplifies (README: 2.1e-8
-        # relative for a 1e-15 change); the solve stays within 1e-8.  The
-        # box velocity is itself roundoff (~1e-19 here), so, as in the
-        # benchmark's reference check, it is compared on the solution scale
+        # the shifted Bergman system differs from the probe-by-probe one on
+        # its live rows by roundoff, which the box pressure amplifies
+        # (README: 2.1e-8 relative for a 1e-15 change); the solve stays
+        # within 1e-8.  The box velocity is itself roundoff (~1e-19 here),
+        # so, as in the benchmark's reference check, it is compared on the
+        # solution scale
         import one_probe
         from wittflow.domain import build_box_domain
         from wittflow.potentials import _pseudo_inverse
@@ -252,7 +296,7 @@ class TestLinearSolve:
             ctx = OperatorContext(d, KernelParams(1.0))
             if oracle:
                 ctx._cache["bergman_factorization"] = _pseudo_inverse(
-                    one_probe.bergman_system(ctx))
+                    one_probe.live(one_probe.bergman_system(ctx), ctx))
             f = verify.vector_bump_field(d.grid) * 0.05
             u, p, _ = solve_linear(NavierStokesProblem(ctx, f))
             return u.values, p.values
