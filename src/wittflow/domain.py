@@ -75,8 +75,10 @@ class SpaceTimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (self.h > 0 and self.dt > 0):
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.h < np.inf and 0 < self.dt < np.inf):
+            raise ValueError("grid spacings must be positive and finite")
+        if not np.isfinite(self.t0):
+            raise ValueError("initial time must be finite")
         if self.nt < 2:
             raise ValueError("need at least 2 time slabs")
         for d, n in enumerate(self.dims):

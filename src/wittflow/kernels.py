@@ -60,13 +60,16 @@ UNDERFLOW_EXPONENT = -700.0
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Modification parameter of the zero-order term; strictly positive."""
+    """Modification parameter of the zero-order term; positive and
+    finite."""
 
     k: float = 1.0
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"kernel parameter k must be > 0, got {self.k}")
+        if not 0 < self.k < np.inf:
+            raise ValueError(
+                f"kernel parameter k must be positive and finite, got "
+                f"{self.k}")
 
 
 @dataclass(frozen=True)
@@ -180,33 +183,18 @@ def fundamental_solution_array(x: np.ndarray, t: np.ndarray, k: float,
     ``x`` has shape (..., 3), ``t`` broadcasts against its leading axes; the
     result has shape (..., 7).  Points with ``t <= 0`` evaluate to exact
     zero (causality); Gaussian underflow is flushed to exact zero.  The
-    time-only factors are computed on ``t``'s own shape, so a scalar ``t``
-    costs one evaluation of them, bitwise equal to a per-point ``t``.
+    live points are gathered with their own times, evaluated, and scattered
+    back, so a scalar ``t`` gives every point the bits of a per-point ``t``.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape[:-1], t.shape)
-    live = t > 0.0
-    # gather and scatter only when some point is causally dead; the live
-    # points go through the same ufuncs either way
-    masked = not np.all(live)
-    if not masked:
-        xl = x
-        factors = [f.reshape(t.shape)
-                   for f in _time_factors(np.atleast_1d(t), k)]
-    elif not np.any(live):
-        return np.zeros(shape + (7,))
-    else:
-        live = np.broadcast_to(live, shape)
-        xl = np.broadcast_to(x, shape + (3,))[live]
-        factors = _time_factors(np.broadcast_to(t, shape)[live], k)
-    terms = _kernel_terms(np.moveaxis(xl, -1, 0), factors, k, dual)
-    coeffs = np.zeros(terms.shape[1:] + (7,))
-    coeffs[..., 1:6] = np.moveaxis(terms, 0, -1)
-    if not masked:
-        return coeffs
+    live = np.broadcast_to(t > 0.0, shape)
+    xl = np.broadcast_to(x, shape + (3,))[live]
+    factors = _time_factors(np.broadcast_to(t, shape)[live], k)
     out = np.zeros(shape + (7,))
-    out[live] = coeffs
+    out[live, 1:6] = np.moveaxis(
+        _kernel_terms(np.moveaxis(xl, -1, 0), factors, k, dual), 0, -1)
     return out
 
 

@@ -422,24 +422,22 @@ def _cauchy(values: np.ndarray, ctx: OperatorContext,
             keep=_ALL) -> np.ndarray:
     """Boundary potential of a block of densities ``(m, n_boundary, 7)``.
 
-    A face family is skipped for every density whose weighted values on it
-    are exactly zero: its convolution would add exact zeros.  A Bergman
-    column lives on a single family, so this saves all but one of the
-    family convolutions there.  Only the output components in ``keep`` are
-    computed; the others are exact zeros.
+    Every density goes through every face family's convolution, which
+    transforms nothing for a density that is exactly zero on the family
+    and gives it exact +0.0: ``out`` starts at +0.0 and never holds -0.0,
+    so adding those zeros changes no bit.  A Bergman probe lives on a
+    single family, so all but one of its family convolutions cost only
+    that addition.  Only the output components in ``keep`` are computed;
+    the others are exact zeros.
     """
     d = ctx.domain
     sigma_bd = mul_arrays(d.b_conormal, values) * d.b_weight[:, None]
     out = np.zeros((len(values),) + d.grid.shape + (7,))
     for group in _face_groups(ctx):
-        sigma = sigma_bd[:, group.idx]
-        live = np.flatnonzero(np.any(sigma, axis=(1, 2)))
-        if not len(live):
-            continue
-        density = np.zeros((len(live),) + group.conv.data_shape + (7,))
-        density[(slice(None),) + group.slot] = sigma[live]
-        out[live] += np.moveaxis(group.conv.apply(density, keep), 1,
-                                 1 + group.axis)
+        density = np.zeros((len(values),) + group.conv.data_shape + (7,))
+        density[(slice(None),) + group.slot] = sigma_bd[:, group.idx]
+        out += np.moveaxis(group.conv.apply(density, keep), 1,
+                           1 + group.axis)
     return out
 
 
@@ -614,44 +612,33 @@ def _system_rows(v: np.ndarray, ctx: OperatorContext) -> np.ndarray:
     return _trace(v, ctx)[:, live].reshape(len(v), 7 * np.count_nonzero(live))
 
 
-def _trace_volume(values: np.ndarray, ctx: OperatorContext) -> np.ndarray:
-    """Flat traced volume potentials ``(m, rows)`` of a block of fields, on
-    the live rows."""
-    return _system_rows(_check_finite(_teodorescu(values, ctx)), ctx)
-
-
-def _bergman_volumes(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
-    """``volume o boundary`` on active densities ``(m, n_active)``."""
-    f = _check_finite(_cauchy(_active_density(z, ctx), ctx))
-    return _check_finite(_teodorescu(f, ctx))
-
-
-def _bergman_columns(ctx: OperatorContext, z: np.ndarray) -> np.ndarray:
-    """``trace o volume o boundary`` on a block of active densities, on
-    every row: the probe-by-probe reference of ``_bergman_system``."""
-    return _trace(_bergman_volumes(ctx, z), ctx).reshape(len(z), -1)
-
-
 def _bergman_system(ctx: OperatorContext) -> np.ndarray:
     """Boundary system ``trace o volume o boundary`` from the active
-    components to the live rows, from one slab of lateral probes shifted in
-    time, assembled column-major.
+    components to the live rows, assembled column-major from one slab of
+    probes shifted in time.
 
     The kernel is causal and invariant under time translation, so the
-    column of a lateral element in slab ``s`` is the trace of the volume
-    potential of the same element in slab 0, moved ``s`` slabs later with
-    zeros before.  Only the slab-0 lateral and the cap components are
-    probed, one-hot in blocks of ``_probe_block``; a face family's elements
-    run slab first, so every slab's lateral columns follow slab 0's order.
-    Without lateral faces every row is live, and this is the block assembly
-    of ``_bergman_columns``.
+    column of a component of an element in slab ``s`` is the trace of the
+    volume potential of the same component of the element on the same face
+    cell in slab 0, moved ``s`` slabs later with zeros before.  Each active
+    column therefore has a probe (its slab-0 counterpart: itself for a cap,
+    whose only active elements lie in slab 0, and for a slab-0 lateral
+    element) and a shift (its slab).  The probes go one-hot through the
+    operator stack in blocks of ``_probe_block``, and one loop over the
+    blocks and the shifts fills every column.
     """
     d = ctx.domain
-    elem = np.nonzero(_active_mask(ctx))[0]
-    # lateral columns by slab; the caps get -1, probed and never shifted
-    slab = np.where(d.b_kind[elem] == 0, d.b_near[elem, 3], -1)
-    by_slab = [np.flatnonzero(slab == s) for s in range(d.grid.nt - 2)]
-    probed = np.flatnonzero(slab < 1)
+    nt = d.grid.nt
+    elem, comp = np.nonzero(_active_mask(ctx))
+    shift = d.b_near[elem, 3]
+    # a face family's elements run slab first, so the first column of each
+    # face cell and component is its slab-0 one, and these come in column
+    # order
+    cell = np.column_stack([d.b_axis[elem], d.b_side[elem],
+                            d.b_near[elem, :3], comp])
+    _, probed, probe = np.unique(cell, axis=0, return_index=True,
+                                 return_inverse=True)
+    probe = probe.reshape(-1)
     a = np.zeros((7 * np.count_nonzero(_live_rows(ctx)), len(elem)),
                  order="F")
     block = _probe_block(ctx)
@@ -659,15 +646,14 @@ def _bergman_system(ctx: OperatorContext) -> np.ndarray:
         cols = probed[start:start + block]
         z = np.zeros((len(cols), len(elem)))
         z[np.arange(len(cols)), cols] = 1.0
-        v = _bergman_volumes(ctx, z)
-        caps = slab[cols] < 0
-        a[:, cols[caps]] = _system_rows(v[caps], ctx).T
-        v, lateral = v[~caps], cols[~caps]
-        for s, target in enumerate(by_slab):
-            moved = np.zeros_like(v)
-            moved[..., s:, :] = v[..., :d.grid.nt - s, :]
-            a[:, target[np.searchsorted(by_slab[0], lateral)]] = \
-                _system_rows(moved, ctx).T
+        f = _check_finite(_cauchy(_active_density(z, ctx), ctx))
+        v = _check_finite(_teodorescu(f, ctx))
+        in_block = (probe >= start) & (probe < start + len(cols))
+        for s in range(shift.max() + 1):
+            target = np.flatnonzero(in_block & (shift == s))
+            moved = np.zeros((len(target),) + v.shape[1:])
+            moved[..., s:, :] = v[probe[target] - start, ..., :nt - s, :]
+            a[:, target] = _system_rows(moved, ctx).T
     return a
 
 
@@ -696,7 +682,8 @@ def _bergman_projection(values: np.ndarray, ctx: OperatorContext,
     ``keep`` (the others are exact zeros).
     """
     fac = _bergman_factorization(ctx)
-    z = np.stack([fac.solve(b) for b in _trace_volume(values, ctx)])
+    rows = _system_rows(_check_finite(_teodorescu(values, ctx)), ctx)
+    z = np.stack([fac.solve(b) for b in rows])
     return _check_finite(_cauchy(_active_density(z, ctx), ctx, keep))
 
 

@@ -405,7 +405,7 @@ def convergence_check(c1: float, c2: float, f_norm: float, u0_norm: float):
     """
     if not (c1 > 0 and c2 > 0):
         raise ValueError("constants must be positive")
-    if f_norm < 0 or u0_norm < 0:
+    if not (f_norm >= 0 and u0_norm >= 0):
         raise ValueError("norms must be nonnegative")
     if f_norm > _forcing_bound(c1, c2):
         return False, None, None

@@ -139,7 +139,7 @@ class WittQuaternion:
         return WittQuaternion.from_coeffs(float(other) * self.coeffs)
 
     def render(self) -> str:
-        """Fixed textual form ``s + v1*e1 + ... + wn*ffd`` used by the CLI."""
+        """Fixed textual form ``s + v1*e1 + ... + wn*ffd`` (``str``)."""
         parts = [f"{self.s:.12g}"]
         for value, name in zip(self.coeffs[1:], BASIS_NAMES[1:]):
             parts.append(f"{value:.12g}*{name}")

@@ -11,10 +11,10 @@ from functools import partial
 import numpy as np
 
 from wittflow.domain import Field, discrete_spatial_dirac
-from wittflow.potentials import (_active_mask, _assemble,
-                                 _bergman_columns, _bergman_factorization,
+from wittflow.potentials import (_active_density, _active_mask, _assemble,
+                                 _bergman_factorization, _cauchy,
                                  _face_groups, _live_rows, _probe_block,
-                                 _volume_conv)
+                                 _teodorescu, _trace, _volume_conv)
 from wittflow.witt_algebra import mul_arrays
 
 
@@ -95,14 +95,21 @@ def bergman_column(ctx, z):
                  ctx).reshape(-1)
 
 
+def bergman_columns(ctx, z):
+    """``trace o volume o boundary`` on a block of active densities
+    ``(m, n_active)``, on every row, through the library's array cores."""
+    v = _teodorescu(_cauchy(_active_density(z, ctx), ctx), ctx)
+    return _trace(v, ctx).reshape(len(z), -1)
+
+
 def bergman_system(ctx):
     """The Bergman boundary system probed column by column: one one-hot
     probe per active component, each through the whole operator stack, in
-    the library's probe blocks, on every row.  The library shifts slab-0
-    lateral probes in time instead and keeps only the live rows
+    the library's probe blocks, on every row.  The library probes only
+    slab 0, shifts the probes in time and keeps only the live rows
     (``potentials._bergman_system``)."""
     n = int(np.sum(_active_mask(ctx)))
-    return _assemble(partial(_bergman_columns, ctx), n, _probe_block(ctx))
+    return _assemble(partial(bergman_columns, ctx), n, _probe_block(ctx))
 
 
 def live(a, ctx):

@@ -21,6 +21,16 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             SpaceTimeGrid(h=0.0, dt=0.1, dims=(4, 4, 4), nt=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", np.inf), ("h", np.nan), ("dt", np.inf), ("dt", np.nan),
+        ("t0", np.inf), ("t0", -np.inf), ("t0", np.nan)])
+    def test_refuses_non_finite(self, field, value):
+        # h = inf and t0 = nan used to be accepted
+        settings = dict(h=0.25, dt=0.1, dims=(4, 4, 4), nt=4, t0=0.0)
+        settings[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            SpaceTimeGrid(**settings)
+
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
             SpaceTimeGrid(h=0.1, dt=0.1, dims=(2, 4, 4), nt=4)

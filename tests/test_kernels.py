@@ -96,8 +96,8 @@ class TestClosedForm:
         assert np.all(val == 0.0)
 
     def test_mixed_sign_times(self):
-        # the masked path (some t <= 0) must give the live points exactly
-        # what the unmasked path gives, and exact zeros elsewhere
+        # with some t <= 0 the live points must get exactly what they get
+        # alone, and the others exact zeros
         rng = np.random.default_rng(21)
         x = rng.standard_normal((40, 5, 3))
         t = rng.uniform(-0.5, 0.5, (40, 5))
@@ -112,9 +112,9 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_scalar_time_matches_per_point_time(self, dual):
-        # the time-only factors are computed once for a scalar time; they
-        # must give every point the bits of the per-point path, at the
-        # kernel-table times j*dt and (j + 1/2)*dt and at random times
+        # a scalar time broadcast to every point must give each point the
+        # bits of the same time given per point, at the kernel-table times
+        # j*dt and (j + 1/2)*dt and at random times
         rng = np.random.default_rng(8)
         x = rng.uniform(-2.0, 2.0, (50, 3))
         dt = 0.0625
@@ -136,6 +136,12 @@ class TestClosedForm:
             KernelParams(0.0)
         with pytest.raises(ValueError):
             KernelParams(-1.0)
+
+    @pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan])
+    def test_params_refuse_non_finite(self, k):
+        # k = inf used to be accepted, and the kernel then evaluated to NaN
+        with pytest.raises(ValueError, match="finite"):
+            KernelParams(k)
 
 
 class TestGaussianMass:

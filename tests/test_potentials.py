@@ -477,12 +477,14 @@ class TestBergman:
         # column is roundoff: over all 7 * n_boundary components, no column
         # outside it rises above 1e-14 of the largest
         from wittflow.potentials import (_active_mask, _assemble, _cauchy,
-                                         _probe_block, _trace_volume)
+                                         _probe_block, _system_rows,
+                                         _teodorescu)
         ctx = make_ctx()
         nb = ctx.domain.n_boundary
 
         def columns(z):
-            return _trace_volume(_cauchy(z.reshape(len(z), nb, 7), ctx), ctx)
+            f = _cauchy(z.reshape(len(z), nb, 7), ctx)
+            return _system_rows(_teodorescu(f, ctx), ctx)
 
         a = _assemble(columns, 7 * nb, _probe_block(ctx))
         norms = np.linalg.norm(a, axis=0)
@@ -569,15 +571,54 @@ class TestBlocks:
     def test_bergman_system_matches_column_loop(self, name):
         import one_probe
         from functools import partial
-        from wittflow.potentials import (_active_mask, _assemble,
-                                         _bergman_columns)
+        from wittflow.potentials import _active_mask, _assemble
         ctx = BLOCK_GEOMETRIES[name]()
         n = int(np.sum(_active_mask(ctx)))
         want = np.stack([one_probe.bergman_column(ctx, e)
                          for e in np.eye(n)], axis=1)
         for block in (1, 3, n + 4):
-            a = _assemble(partial(_bergman_columns, ctx), n, block)
+            a = _assemble(partial(one_probe.bergman_columns, ctx), n, block)
             assert a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_GEOMETRIES))
+    def test_bergman_system_is_independent_of_the_block(self, name,
+                                                        monkeypatch):
+        # the shifted-probe loop gives every column the same bits whatever
+        # the probes that share its block
+        from wittflow import potentials
+        ctx = BLOCK_GEOMETRIES[name]()
+        want = potentials._bergman_system(ctx)
+        n = want.shape[1]
+        for block in (1, 3, n + 4):
+            monkeypatch.setattr(potentials, "_probe_block",
+                                lambda _, block=block: block)
+            assert_bitwise(potentials._bergman_system(ctx), want)
+
+    def test_zero_densities_are_not_transformed(self, monkeypatch):
+        # a Bergman probe lives on one face family: each family's
+        # convolution forward-transforms one row per probe live on it (a
+        # one-hot density has one live weighted component) and none for
+        # the others, and an all-zero density comes back as exact +0.0
+        from wittflow import potentials
+        ctx = pruned_ctx("box_3x6")
+        groups = potentials._face_groups(ctx)
+        elem = np.nonzero(potentials._active_mask(ctx))[0]
+        cols = np.linspace(0, len(elem) - 1, 40).astype(int)
+        z = np.zeros((len(cols) + 1, len(elem)))
+        z[np.arange(len(cols)), cols] = 1.0
+        rows = {id(group.conv): 0 for group in groups}
+        forward = potentials._Convolution._forward
+
+        def counted(conv, values, lead):
+            rows[id(conv)] += len(values)
+            return forward(conv, values, lead)
+        monkeypatch.setattr(potentials._Convolution, "_forward", counted)
+        out = potentials._cauchy(potentials._active_density(z, ctx), ctx)
+        for group in groups:
+            live = np.count_nonzero(np.isin(elem[cols], group.idx))
+            assert rows[id(group.conv)] == live
+        assert sum(rows.values()) == len(cols)
+        assert np.all(out[-1] == 0.0) and not np.signbit(out[-1]).any()
 
 
 def cylinder_h4(flags):

@@ -136,6 +136,13 @@ class TestConvergenceCheck:
         with pytest.raises(ValueError):
             convergence_check(1.0, 1.0, -0.1, 0.0)
 
+    @pytest.mark.parametrize("f_norm, u0_norm", [
+        (np.nan, 0.0), (0.1, np.nan), (-0.1, 0.0), (0.1, -1.0)])
+    def test_refuses_nan_and_negative_norms(self, f_norm, u0_norm):
+        # a NaN norm used to give (False, nan, nan) or a silent False
+        with pytest.raises(ValueError, match="nonnegative"):
+            convergence_check(0.2, 0.1, f_norm, u0_norm)
+
 
 class TestConstants:
     def test_positive(self, constants):
