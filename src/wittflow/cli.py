@@ -233,10 +233,12 @@ def _bad_flag(checks) -> bool:
 
 
 def _write_text(path: Path, lines) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _residual_rows(report) -> list[str]:
+    return ["iter,residual"] + [f"{i + 1},{r:.17g}" for i, r in
+                                enumerate(report.residual_history)]
 
 
 def _set_up(cfg: RunConfig):
@@ -280,28 +282,26 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.output or cfg.output_dir)
     prob = NavierStokesProblem(ctx, forcing)
 
+    exit_code = 0
     if cfg.mode == "linear":
         u, p, report = solve_linear(prob)
-        exit_code = 0
     else:
         try:
             u, p, report = fixed_point_solve(
                 prob, max_iter=cfg.max_iter,
                 tol=args.tol if args.tol is not None else cfg.tol,
                 seed=args.seed)
-            exit_code = 0
         except SolverDivergence as exc:
-            print(f"numerical failure: {exc}")
-            report = exc.report
+            print(f"numerical failure: {exc}", file=sys.stderr)
             u = p = None
-            exit_code = 3
+            report, exit_code = exc.report, 3
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if u is not None:
         export_solution_csv(u, p, out_dir / "solution.csv")
-    _write_text(out_dir / "residuals.csv",
-                ["iter,residual"] + [f"{i + 1},{r:.17g}" for i, r in
-                                     enumerate(report.residual_history)])
+    else:   # no older run's solution beside this run's artifacts
+        (out_dir / "solution.csv").unlink(missing_ok=True)
+    _write_text(out_dir / "residuals.csv", _residual_rows(report))
     _write_text(out_dir / "summary.txt", [report.summary()])
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -367,136 +367,86 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-_SUITES = ("all", "algebra", "kernel", "lattice", "operators", "solver")
+def _as_check(result, file: str | None = None, label: str | None = None):
+    """A study or check table of ``verify`` as a check: its label (the
+    result's name unless given), verdict, and rows in ``FILE.csv``."""
+    return (label or result.name, result.passed,
+            {f"{file or result.name}.csv": result.csv_rows()})
 
 
-def _check_algebra(out_dir: Path) -> list[tuple[str, bool]]:
-    import numpy as np
-    from .witt_algebra import (BASIS_NAMES, associativity_defects,
-                               basis_element, mul, mul_arrays)
-    defects = associativity_defects()
-    rows = ["i,j,k,associates"]
-    names = BASIS_NAMES
-    bad = set(defects)
-    for i in range(7):
-        for j in range(7):
-            for k in range(7):
-                rows.append(f"{names[i]},{names[j]},{names[k]},"
-                            f"{str((i, j, k) not in bad).lower()}")
-    _write_text(out_dir / "associativity.csv", rows)
-    f, fd = basis_element(4), basis_element(5)
-    relations_ok = (
-        np.all(mul(f, f).coeffs == 0.0)
-        and np.all(mul(fd, fd).coeffs == 0.0)
-        and np.array_equal((mul(f, fd) + mul(fd, f)).coeffs,
-                           np.eye(7)[0])
-        and all(np.all(mul_arrays(np.eye(7)[1 + j], np.eye(7)[w]) == 0.0)
-                and np.all(mul_arrays(np.eye(7)[w], np.eye(7)[1 + j]) == 0.0)
-                for j in range(3) for w in (4, 5, 6)))
-    return [("algebra_relations", bool(relations_ok)),
-            ("algebra_associativity", len(defects) == 0)]
-
-
-def _check_kernel(out_dir: Path) -> list[tuple[str, bool]]:
+def _algebra_checks():
     from . import verify
-    results = []
+    from .witt_algebra import BASIS_NAMES, associativity_defects
+    bad = set(associativity_defects())
+    yield "algebra_relations", verify.algebra_relations_hold(), {}
+    yield "algebra_associativity", not bad, {"associativity.csv": [
+        "i,j,k,associates"] + [
+        f"{BASIS_NAMES[i]},{BASIS_NAMES[j]},{BASIS_NAMES[k]},"
+        f"{str((i, j, k) not in bad).lower()}"
+        for i in range(7) for j in range(7) for k in range(7)]}
+
+
+def _kernel_checks():
+    from . import verify
     try:
         record = verify.calibrate_convention()
-        results.append(("kernel_calibration", True))
-        _write_text(out_dir / "calibration.txt",
-                    [f"fd_power={record.fd_power}",
-                     f"sign={record.sign:+d}",
-                     f"factorization_power={record.factorization_power}"]
-                    + [f"order[{k}]={v:.4f}"
-                       for k, v in sorted(record.orders.items())])
     except RuntimeError as exc:
-        _write_text(out_dir / "calibration.txt", [str(exc)])
-        results.append(("kernel_calibration", False))
-        return results
-    study = verify.factorization_study()
-    _write_text(out_dir / "factorization.csv", study.csv_rows())
-    results.append((study.name, study.passed))
-    table = verify.gaussian_mass_check()
-    _write_text(out_dir / "gaussian_mass.csv", table.csv_rows())
-    results.append((table.name, table.passed))
-    return results
+        yield "kernel_calibration", False, {"calibration.txt": [str(exc)]}
+        return
+    yield "kernel_calibration", True, {"calibration.txt": [
+        f"fd_power={record.fd_power}", f"sign={record.sign:+d}",
+        f"factorization_power={record.factorization_power}"] + [
+        f"order[{k}]={v:.4f}" for k, v in sorted(record.orders.items())]}
+    yield _as_check(verify.factorization_study(), "factorization")
+    yield _as_check(verify.gaussian_mass_check())
 
 
-def _check_lattice(out_dir: Path) -> list[tuple[str, bool]]:
+def _lattice_checks():
     from . import verify
     from .kernels import KernelParams
-    from .lattice import LatticeSpec
-    results = []
     params = KernelParams(1.0)
-    patterns = [(False, False, False), (True, False, False),
-                (True, True, False), (True, True, True)]
-    for flags in patterns:
-        spec = LatticeSpec(3, flags)
+    for spec in verify.SPIN_STRUCTURES:
         table = verify.lattice_bruteforce_check(spec=spec, params=params)
-        tag = "".join("a" if f else "p" for f in flags)
-        _write_text(out_dir / f"bruteforce_{tag}.csv", table.csv_rows())
-        results.append((f"{table.name}_{tag}", table.passed))
-        qp = verify.quasi_periodicity_check(spec, params)
-        _write_text(out_dir / f"{qp.name}.csv", qp.csv_rows())
-        results.append((qp.name, qp.passed))
-    return results
+        yield _as_check(table, f"bruteforce_{spec.tag}",
+                        f"{table.name}_{spec.tag}")
+        yield _as_check(verify.quasi_periodicity_check(spec, params))
 
 
-def _check_operators(out_dir: Path) -> list[tuple[str, bool]]:
+def _operator_checks():
     from . import verify
     from .lattice import LatticeSpec
-    results = []
     for lattice in (LatticeSpec(), LatticeSpec(3, (False,) * 3)):
         study = verify.borel_pompeiu_study(lattice=lattice)
-        _write_text(out_dir / f"{study.name}.csv", study.csv_rows())
-        results.append((study.name, study.passed))
-        rep = verify.volume_reproduction_study(study)
-        _write_text(out_dir / f"{rep.name}.csv", rep.csv_rows())
-        results.append((rep.name, rep.passed))
-    hodge = verify.hodge_study()
-    _write_text(out_dir / f"{hodge.name}.csv", hodge.csv_rows())
-    results.append((hodge.name, hodge.passed))
-    return results
+        yield _as_check(study)
+        yield _as_check(verify.volume_reproduction_study(study))
+    yield _as_check(verify.hodge_study())
 
 
-def _check_solver(out_dir: Path) -> list[tuple[str, bool]]:
+def _solver_checks():
     from . import verify
-    from .solver import NavierStokesProblem, fixed_point_solve
-    results = []
-    study = verify.linear_solver_study()
-    _write_text(out_dir / f"{study.name}.csv", study.csv_rows())
-    results.append((study.name, study.passed))
-    ctx, forcing, constants = verify.fixed_point_preset()
-    _, _, report = fixed_point_solve(NavierStokesProblem(ctx, forcing),
-                                     max_iter=30, tol=1e-12,
-                                     constants=constants)
-    hist = report.residual_history
-    monotone = all(b < a for a, b in zip(hist, hist[1:]))
-    ok = bool(report.admissible) and monotone and report.converged
-    _write_text(out_dir / "fixed_point.csv",
-                ["iter,residual"] + [f"{i + 1},{r:.17g}"
-                                     for i, r in enumerate(hist)])
-    _write_text(out_dir / "fixed_point_summary.txt", [report.summary()])
-    results.append(("fixed_point_contraction", ok))
-    return results
+    yield _as_check(verify.linear_solver_study())
+    run = verify.fixed_point_run()
+    yield "fixed_point_contraction", run.passed, {
+        "fixed_point.csv": _residual_rows(run.report),
+        "fixed_point_summary.txt": [run.report.summary()]}
+
+
+# Suite -> its checks in order, each ``(label, passed, {file: lines})``.
+# The studies calibrate the convention themselves where they read it.
+_CHECKS = {"algebra": _algebra_checks, "kernel": _kernel_checks,
+           "lattice": _lattice_checks, "operators": _operator_checks,
+           "solver": _solver_checks}
+_SUITES = ("all", *_CHECKS)
 
 
 def cmd_check(args) -> int:
-    from . import verify
     out_dir = Path(args.output or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    verify.ensure_convention()
-    runners = {
-        "algebra": _check_algebra,
-        "kernel": _check_kernel,
-        "lattice": _check_lattice,
-        "operators": _check_operators,
-        "solver": _check_solver,
-    }
-    names = list(runners) if args.suite == "all" else [args.suite]
     all_ok = True
-    for name in names:
-        for label, ok in runners[name](out_dir):
+    for suite in _CHECKS if args.suite == "all" else [args.suite]:
+        for label, ok, files in _CHECKS[suite]():
+            for name, lines in files.items():
+                _write_text(out_dir / name, lines)
             all_ok &= ok
             print(f"{'PASS' if ok else 'FAIL'} {label}")
     return 0 if all_ok else 1

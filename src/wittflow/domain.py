@@ -57,6 +57,11 @@ class LatticeSpec:
                 f"need {self.rank} antiperiodicity flags, got "
                 f"{len(self.anti_flags)}")
 
+    @property
+    def tag(self) -> str:
+        """One letter per generator: ``a`` antiperiodic, ``p`` periodic."""
+        return "".join("a" if f else "p" for f in self.anti_flags)
+
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -440,14 +445,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _write_rows(path, header: str, grid: SpaceTimeGrid,
-                values: np.ndarray) -> None:
-    """CSV with columns x,y,z,t followed by those of ``values``."""
+def _coords(grid: SpaceTimeGrid) -> np.ndarray:
+    """Node coordinates x, y, z, t as a (*dims, nt, 4) array."""
     xs, ts = grid.node_positions()
     coords = np.empty(grid.shape + (4,))
     coords[..., :3] = xs[..., None, :]
     coords[..., 3] = ts
-    rows = _to_rows(np.concatenate([coords, values], axis=-1))
+    return coords
+
+
+def _write_rows(path, header: str, grid: SpaceTimeGrid,
+                values: np.ndarray) -> None:
+    """CSV with columns x,y,z,t followed by those of ``values``."""
+    rows = _to_rows(np.concatenate([_coords(grid), values], axis=-1))
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -469,11 +479,18 @@ def export_solution_csv(u: Field, p: Field, path) -> None:
 
 
 def load_field_csv(path, grid: SpaceTimeGrid) -> Field:
-    """Inverse of export_field_csv for a known grid."""
+    """Inverse of export_field_csv for a known grid.  Row by row, the x, y,
+    z and t columns must give the grid's node within 1e-6 of its spacings;
+    a field from another grid (other spacings, permuted dims) is refused."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim == 1:
         data = data[None, :]
-    expected = grid.n_cells
-    if data.shape[0] != expected or data.shape[1] != 11:
+    if data.shape != (grid.n_cells, 11):
         raise ValueError(f"csv shape {data.shape} does not match grid")
+    nodes = _to_rows(_coords(grid))
+    tol = 1e-6 * np.array([grid.h] * 3 + [grid.dt])
+    off = np.flatnonzero(~np.all(np.abs(data[:, :4] - nodes) <= tol, axis=1))
+    if off.size:
+        raise ValueError(f"row {off[0] + 1} is not at the grid's node x,y,z,t"
+                         f" = {','.join(map(_fmt, nodes[off[0]]))}")
     return Field(_from_rows(data[:, 4:], grid), grid)

@@ -22,11 +22,16 @@ from .lattice import (LatticeSpec, brute_force_periodized,
                       periodized_solution_batch)
 from .potentials import (OperatorContext, bergman_projection,
                          boundary_trace, cauchy_transform, teodorescu)
-from .witt_algebra import mul_arrays
+from .solver import (NavierStokesProblem, SolverReport, _forcing_bound,
+                     estimate_constants, fixed_point_solve, solve_linear)
+from .witt_algebra import basis_element, mul, mul_arrays
 
 __all__ = [
     "StudyResult",
     "CheckTable",
+    "FixedPointRun",
+    "SPIN_STRUCTURES",
+    "algebra_relations_hold",
     "calibrate_convention",
     "ensure_convention",
     "borel_pompeiu_study",
@@ -39,6 +44,7 @@ __all__ = [
     "factorization_study",
     "gaussian_mass_check",
     "fixed_point_preset",
+    "fixed_point_run",
     "scalar_bump_field",
     "vector_bump_field",
     "divergence_free_field",
@@ -66,32 +72,27 @@ class StudyResult:
                 f"{self.threshold_order:.2f})")
 
     def csv_rows(self) -> list[str]:
-        rows = ["h,dt,residual"]
-        for h, dt, r in self.levels:
-            rows.append(f"{h:.17g},{dt:.17g},{r:.17g}")
-        return rows
+        return ["h,dt,residual"] + [f"{h:.17g},{dt:.17g},{r:.17g}"
+                                    for h, dt, r in self.levels]
 
 
 @dataclass
 class CheckTable:
-    """Row-wise pass/fail table for point comparisons."""
+    """Row-wise pass/fail table for point comparisons; each row ends in its
+    verdict, ``pass`` or ``fail``."""
 
     name: str
     header: list[str]
     rows: list[list]
-    passed: bool
 
-    def verdict_line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: " \
-               f"{len(self.rows)} rows"
+    @property
+    def passed(self) -> bool:
+        return all(row[-1] == "pass" for row in self.rows)
 
     def csv_rows(self) -> list[str]:
-        out = [",".join(self.header)]
-        for row in self.rows:
-            out.append(",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v)
-                for v in row))
-        return out
+        return [",".join(self.header)] + [",".join(
+            format(v, ".17g") if isinstance(v, float) else str(v)
+            for v in row) for row in self.rows]
 
 
 def fit_order(hs, residuals) -> float:
@@ -101,6 +102,21 @@ def fit_order(hs, residuals) -> float:
     if len(hs) < 3:
         raise ValueError("order fit needs at least 3 levels")
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
+
+
+def algebra_relations_hold() -> bool:
+    """The defining relations: ``f`` and ``fd`` square to zero, their
+    anticommutator is 1, and each ``ej`` annihilates ``f``, ``fd`` and
+    ``ffd`` from both sides, all exactly."""
+    f, fd = basis_element(4), basis_element(5)
+    eye = np.eye(7)
+    return bool(
+        np.all(mul(f, f).coeffs == 0.0)
+        and np.all(mul(fd, fd).coeffs == 0.0)
+        and np.array_equal((mul(f, fd) + mul(fd, f)).coeffs, eye[0])
+        and all(np.all(mul_arrays(eye[1 + j], eye[w]) == 0.0)
+                and np.all(mul_arrays(eye[w], eye[1 + j]) == 0.0)
+                for j in range(3) for w in (4, 5, 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +471,6 @@ def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
     divergence residuals, and the matching discretization bounds measured
     on the reference solution.
     """
-    from .solver import NavierStokesProblem, solve_linear
     ensure_convention()
     rows = []
     p_errors = []
@@ -486,6 +501,12 @@ def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
 # Lattice checks
 # ---------------------------------------------------------------------------
 
+# The 3-torus spin structures of the lattice checks, up to axis order.
+SPIN_STRUCTURES = tuple(LatticeSpec(3, flags) for flags in (
+    (False, False, False), (True, False, False), (True, True, False),
+    (True, True, True)))
+
+
 def _random_points(rng, n: int) -> np.ndarray:
     return rng.uniform(-0.5, 0.5, size=(n, 3))
 
@@ -506,21 +527,18 @@ def lattice_bruteforce_check(points=None, spec: LatticeSpec = _FLAT_TORUS,
     brute, brute_tail = brute_force_periodized(points, t, params, spec,
                                                brute_radius)
     rows = []
-    passed = True
     for i, x in enumerate(points):
         value, tail, shells = periodized_solution_batch(
             x[None, :], t, params, spec, tol)
         diff = float(np.linalg.norm(value[0] - brute[i]))
         allowed = tail + brute_tail
-        ok = diff <= allowed
-        passed &= ok
         rows.append([float(x[0]), float(x[1]), float(x[2]), diff,
-                     float(allowed), int(shells), "pass" if ok else "fail"])
-    name = f"lattice_bruteforce_rank{spec.rank}"
-    return CheckTable(name=name,
+                     float(allowed), int(shells),
+                     "pass" if diff <= allowed else "fail"])
+    return CheckTable(name=f"lattice_bruteforce_rank{spec.rank}",
                       header=["x1", "x2", "x3", "difference", "allowance",
                               "shells", "verdict"],
-                      rows=rows, passed=passed)
+                      rows=rows)
 
 
 def factorization_probe(h: float, nt: int = 32):
@@ -569,23 +587,18 @@ def gaussian_mass_check(k_values=(0.5, 1.0, 2.0), t: float = 0.25,
     """
     from scipy.integrate import quad
     rows = []
-    passed = True
     for k in k_values:
         radius = 8.0 * np.sqrt(t / k)
         pref = np.sqrt(k) / (2.0 * np.sqrt(np.pi * t)) ** 3
-
-        def integrand(r, _k=k, _pref=pref):
-            return 4.0 * np.pi * r * r * _pref * np.exp(-_k * r * r
-                                                        / (4.0 * t))
-        mass, _ = quad(integrand, 0.0, radius, limit=200)
+        mass, _ = quad(lambda r: 4.0 * np.pi * r * r * pref
+                       * np.exp(-k * r * r / (4.0 * t)), 0.0, radius,
+                       limit=200)
         rel = abs(mass - 1.0 / k) * k
-        ok = rel <= rel_tol
-        passed &= ok
         rows.append([float(k), float(mass), float(rel),
-                     "pass" if ok else "fail"])
+                     "pass" if rel <= rel_tol else "fail"])
     return CheckTable(name="gaussian_mass",
                       header=["k", "ball_mass", "relative_error", "verdict"],
-                      rows=rows, passed=passed)
+                      rows=rows)
 
 
 def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
@@ -597,7 +610,6 @@ def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
     scaled to ``load_factor`` times the closed-form smallness bound for the
     measured constants.
     """
-    from .solver import _forcing_bound, estimate_constants
     ensure_convention()
     domain = build_quotient_domain(_FLAT_TORUS, [], horizon, 1.0 / n,
                                    horizon / nt)
@@ -609,6 +621,30 @@ def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
     return ctx, base * scale, (c1, c2)
 
 
+@dataclass
+class FixedPointRun:
+    """The fixed-point iteration on ``fixed_point_preset``'s problem."""
+
+    forcing: Field
+    constants: tuple[float, float]
+    report: SolverReport
+    decreasing: bool   # every residual below the one before
+    passed: bool       # converged, admissible and decreasing
+
+
+def fixed_point_run() -> FixedPointRun:
+    """Iterate to 1e-12 in at most 30 sweeps, with the measured constants."""
+    ctx, forcing, constants = fixed_point_preset()
+    _, _, report = fixed_point_solve(NavierStokesProblem(ctx, forcing),
+                                     max_iter=30, tol=1e-12,
+                                     constants=constants)
+    hist = report.residual_history
+    decreasing = all(b < a for a, b in zip(hist, hist[1:]))
+    return FixedPointRun(forcing, constants, report, decreasing,
+                         bool(report.admissible) and report.converged
+                         and decreasing)
+
+
 def quasi_periodicity_check(spec: LatticeSpec, params: KernelParams,
                             t: float = 0.5, tol: float = 1e-10,
                             n_points: int = 8, seed: int = 5) -> CheckTable:
@@ -616,7 +652,6 @@ def quasi_periodicity_check(spec: LatticeSpec, params: KernelParams,
     rng = np.random.default_rng(seed)
     points = _random_points(rng, n_points)
     rows = []
-    passed = True
     for x in points:
         base, tail0, _ = periodized_solution_batch(x[None, :], t, params,
                                                    spec, tol)
@@ -628,13 +663,10 @@ def quasi_periodicity_check(spec: LatticeSpec, params: KernelParams,
             sign = -1.0 if spec.anti_flags[j] else 1.0
             diff = float(np.linalg.norm(moved[0] - sign * base[0]))
             allowed = 2.0 * (tail0 + tail1)
-            ok = diff <= allowed
-            passed &= ok
             rows.append([float(x[0]), float(x[1]), float(x[2]), j, diff,
-                         float(allowed), "pass" if ok else "fail"])
-    name = "quasi_periodicity_" + "".join(
-        "a" if f else "p" for f in spec.anti_flags)
-    return CheckTable(name=name,
+                         float(allowed),
+                         "pass" if diff <= allowed else "fail"])
+    return CheckTable(name=f"quasi_periodicity_{spec.tag}",
                       header=["x1", "x2", "x3", "generator", "difference",
                               "allowance", "verdict"],
-                      rows=rows, passed=passed)
+                      rows=rows)

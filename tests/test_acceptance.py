@@ -16,16 +16,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from wittflow import verify
 from wittflow.domain import discrete_norm
 from wittflow.kernels import KernelParams
 from wittflow.lattice import LatticeSpec
-from wittflow.solver import (NavierStokesProblem, convergence_check,
-                             fixed_point_solve)
-from wittflow.witt_algebra import (associativity_defects, basis_element,
-                                   mul, mul_arrays)
+from wittflow.solver import convergence_check
+from wittflow.witt_algebra import associativity_defects
 
 
 def _report(criterion, passed, elapsed, detail=""):
@@ -39,15 +35,7 @@ class TestCriterion1:
     def test_algebra_exactness(self):
         """All 343 associativity identities plus the defining relations."""
         start = time.time()
-        f, fd = basis_element(4), basis_element(5)
-        eye = np.eye(7)
-        relations_ok = (
-            np.all(mul(f, f).coeffs == 0.0)
-            and np.all(mul(fd, fd).coeffs == 0.0)
-            and np.array_equal((mul(f, fd) + mul(fd, f)).coeffs, eye[0])
-            and all(np.all(mul_arrays(eye[1 + j], eye[w]) == 0.0)
-                    and np.all(mul_arrays(eye[w], eye[1 + j]) == 0.0)
-                    for j in range(3) for w in (4, 5, 6)))
+        relations_ok = verify.algebra_relations_hold()
         defects = associativity_defects()
         elapsed = time.time() - start
         ok = relations_ok and len(defects) == 0 and elapsed < 1.0
@@ -116,11 +104,8 @@ class TestCriterion5:
     def test_lattice_periodization(self):
         start = time.time()
         params = KernelParams(1.0)
-        patterns = [(False, False, False), (True, False, False),
-                    (True, True, False), (True, True, True)]
         all_ok = True
-        for flags in patterns:
-            spec = LatticeSpec(3, flags)
+        for spec in verify.SPIN_STRUCTURES:
             table = verify.lattice_bruteforce_check(
                 spec=spec, params=params, tol=1e-10, seed=3)
             assert len(table.rows) == 20
@@ -209,26 +194,21 @@ class TestCriterion9:
         admb, wb, lb = convergence_check(1.0, 1.0, 1.0 / 16.0, 0.0)
         assert (admb, wb, lb) == (False, 0.0, 1.0)
 
-        ctx, forcing, constants = verify.fixed_point_preset()
-        f_norm = discrete_norm(forcing, "L2")
+        run = verify.fixed_point_run()
+        f_norm = discrete_norm(run.forcing, "L2")
         admissible, w_const, l_const = convergence_check(
-            constants[0], constants[1], f_norm, 0.0)
+            run.constants[0], run.constants[1], f_norm, 0.0)
         assert admissible and l_const < 1.0
-        u, p, report = fixed_point_solve(
-            NavierStokesProblem(ctx, forcing), max_iter=30, tol=1e-12,
-            constants=constants)
-        hist = report.residual_history
-        strictly_decreasing = all(b < a for a, b in zip(hist, hist[1:]))
+        report, hist = run.report, run.report.residual_history
         ratios = [hist[i] / hist[i - 1] for i in range(2, len(hist))]
         ratio_ok = all(r <= report.L + 0.1 for r in ratios)
         elapsed = time.time() - start
-        ok = (report.converged and report.admissible and strictly_decreasing
-              and ratio_ok and elapsed < 300.0)
+        ok = run.passed and ratio_ok and elapsed < 300.0
         _report(9, ok, elapsed,
                 f"L={report.L:.3f}, iterations={report.iterations}, "
                 f"ratios {['%.2e' % r for r in ratios]}")
         assert report.converged and report.admissible
-        assert strictly_decreasing, hist
+        assert run.decreasing, hist
         assert ratio_ok
         assert elapsed < 300.0
 

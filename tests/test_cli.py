@@ -449,6 +449,48 @@ class TestCommands:
                               "forcing.csv: ")
         assert not (tmp_path / "artifacts").exists()
 
+    def test_solve_refuses_forcing_csv_of_another_grid_exit_2(
+            self, tmp_path, capsys, no_calibration):
+        # same cell count as the config's 4^3 x 4 torus, twice its spacing
+        from wittflow.domain import SpaceTimeGrid, export_field_csv
+        from wittflow.verify import vector_bump_field
+        csv = tmp_path / "forcing.csv"
+        export_field_csv(vector_bump_field(
+            SpaceTimeGrid(h=0.5, dt=0.25, dims=(4, 4, 4), nt=4)), csv)
+        cfg = write_config(tmp_path, **{"forcing.csv": csv})
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: bad value for forcing.csv: row 1 is not "
+            "at the grid's node x,y,z,t = 0.125,0.125,0.125,0.0625")
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_diverged_solve_exit_3_drops_stale_solution(
+            self, tmp_path, capsys, monkeypatch):
+        # a diverged run used to leave an older run's solution.csv beside
+        # its own residuals and summary, and print its failure on stdout
+        from wittflow import solver
+
+        def diverge(prob, **kwargs):
+            raise solver.SolverDivergence(
+                "residual grew in 3 consecutive sweeps",
+                solver.SolverReport(residual_history=[1.0, 2.0, 4.0, 8.0],
+                                    admissible=False))
+        monkeypatch.setattr(solver, "fixed_point_solve", diverge)
+        out = tmp_path / "artifacts"
+        out.mkdir()
+        (out / "solution.csv").write_text("x,y,z,t,u1,u2,u3,p\n")
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear"})
+        assert cli.main(["solve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: residual grew in 3 "
+                                "consecutive sweeps\n")
+        assert "numerical failure" not in captured.out
+        assert "admissible=false iterations=4" in captured.out
+        assert sorted(p.name for p in out.iterdir()) == [
+            "residuals.csv", "summary.txt"]
+        assert (out / "residuals.csv").read_text() == (
+            "iter,residual\n1,1\n2,2\n3,4\n4,8\n")
+
     @pytest.mark.parametrize("mode", [
         {}, {"solver.mode": "nonlinear", "solver.max_iter": "30",
              "solver.tol": "1e-10"}], ids=["linear", "nonlinear"])
@@ -504,3 +546,59 @@ class TestCommands:
         cli.main(["solve", "--config", cfg])
         out = capsys.readouterr().out
         assert out.count("forcing exceeds the admissibility bound") == 1
+
+
+_TAGS = ("ppp", "app", "aap", "aaa")
+
+
+class TestCheck:
+    # suite -> exit code, printed lines in order, artifact names
+    SUITES = {
+        "algebra": (1, ["PASS algebra_relations",
+                        "FAIL algebra_associativity"],
+                    ["associativity.csv"]),
+        "kernel": (0, ["PASS kernel_calibration", "PASS factorization_defect",
+                       "PASS gaussian_mass"],
+                   ["calibration.txt", "factorization.csv",
+                    "gaussian_mass.csv"]),
+        "lattice": (0, [line for tag in _TAGS for line in (
+            f"PASS lattice_bruteforce_rank3_{tag}",
+            f"PASS quasi_periodicity_{tag}")],
+            [name for tag in _TAGS for name in (
+                f"bruteforce_{tag}.csv", f"quasi_periodicity_{tag}.csv")]),
+    }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suite_lines_and_artifacts(self, suite, tmp_path, capsys):
+        code, lines, names = self.SUITES[suite]
+        assert cli.main(["check", "--suite", suite,
+                         "--output", str(tmp_path)]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        if suite == "algebra":
+            table = (tmp_path / "associativity.csv").read_text().splitlines()
+            assert table[0] == "i,j,k,associates" and len(table) == 344
+            assert table.count("e1,e1,f,false") == 1
+        if suite == "kernel":
+            record = (tmp_path / "calibration.txt").read_text().splitlines()
+            assert [line.split("=")[0] for line in record[:3]] == [
+                "fd_power", "sign", "factorization_power"]
+            assert len(record) == 7
+
+    def test_failed_calibration_is_reported(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the check used to calibrate before any suite ran, so in a process
+        # without a record a failed calibration exited 3 unreported
+        from wittflow import kernels, verify
+
+        def ambiguous():
+            raise RuntimeError("operator convention calibration is "
+                               "ambiguous")
+        monkeypatch.setattr(kernels, "_convention", None)
+        monkeypatch.setattr(verify, "calibrate_convention", ambiguous)
+        assert cli.main(["check", "--suite", "kernel",
+                         "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == "FAIL kernel_calibration\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["calibration.txt"]
+        assert (tmp_path / "calibration.txt").read_text() == (
+            "operator convention calibration is ambiguous\n")

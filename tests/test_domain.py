@@ -499,6 +499,51 @@ class TestCsvExport:
         back = load_field_csv(field_path, grid)
         assert np.array_equal(back.values, u.values)
 
+    @pytest.mark.parametrize("written, read, row", [
+        ((0.25, 0.0625, (4, 4, 4), 8), (0.5, 0.125, (4, 4, 4), 8), 1),
+        ((0.25, 0.125, (3, 4, 5), 2), (0.25, 0.125, (5, 4, 3), 2), 4)],
+        ids=["other_spacing", "permuted_dims"])
+    def test_refuses_field_of_another_grid(self, tmp_path, written, read,
+                                           row):
+        # the cell counts agree, so these used to load without a word
+        source = SpaceTimeGrid(*written)
+        path = tmp_path / "field.csv"
+        export_field_csv(verify.vector_bump_field(source), path)
+        with pytest.raises(ValueError,
+                           match=f"^row {row} is not at the grid's node"):
+            load_field_csv(path, SpaceTimeGrid(*read))
+
+    @pytest.mark.parametrize("shift, loads", [(1e-7, True), (1e-5, False)])
+    def test_coordinates_match_to_a_millionth_of_the_spacing(
+            self, tmp_path, shift, loads):
+        grid = SpaceTimeGrid(h=0.25, dt=0.125, dims=(3, 4, 5), nt=2)
+        u = verify.vector_bump_field(grid)
+        path = tmp_path / "field.csv"
+        export_field_csv(u, path)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data[7, 3] += shift * grid.dt
+        np.savetxt(path, data, fmt="%.17g", delimiter=",",
+                   header="x,y,z,t,s,v1,v2,v3,wf,wfd,wn", comments="")
+        if loads:
+            assert np.array_equal(load_field_csv(path, grid).values,
+                                  u.values)
+        else:
+            with pytest.raises(ValueError, match="^row 8 "):
+                load_field_csv(path, grid)
+
+    @pytest.mark.parametrize("domain", [
+        lambda: build_quotient_domain(LatticeSpec(3, (True, False, True)),
+                                      [], 0.5, 0.25, 0.0625),
+        lambda: build_quotient_domain(LatticeSpec(1, (False,)),
+                                      [0.75, 0.75], 0.375, 0.25, 0.125)],
+        ids=["torus", "cylinder"])
+    def test_exact_roundtrip_loads_on_quotients(self, tmp_path, domain):
+        grid = domain().grid
+        u = verify.vector_bump_field(grid)
+        path = tmp_path / "field.csv"
+        export_field_csv(u, path)
+        assert np.array_equal(load_field_csv(path, grid).values, u.values)
+
     def test_deterministic_bytes(self, tmp_path):
         grid = SpaceTimeGrid(h=1.0 / 3, dt=0.25, dims=(3, 3, 3), nt=4)
         rng = np.random.default_rng(4)
