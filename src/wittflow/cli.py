@@ -397,7 +397,7 @@ def _kernel_checks():
         f"fd_power={record.fd_power}", f"sign={record.sign:+d}",
         f"factorization_power={record.factorization_power}"] + [
         f"order[{k}]={v:.4f}" for k, v in sorted(record.orders.items())]}
-    yield _as_check(verify.factorization_study(), "factorization")
+    yield _as_check(verify.factorization_check(), "factorization")
     yield _as_check(verify.gaussian_mass_check())
 
 
@@ -431,11 +431,27 @@ def _solver_checks():
         "fixed_point_summary.txt": [run.report.summary()]}
 
 
+def _calibrated(suite: str, checks):
+    """``checks``, a suite that reads the calibrated convention, run once
+    the convention is held; if the calibration fails, one failed check
+    ``SUITE_calibration`` with the error in ``calibration.txt`` instead."""
+    def run():
+        from . import verify
+        try:
+            verify.ensure_convention()
+        except RuntimeError as exc:
+            yield f"{suite}_calibration", False, {"calibration.txt": [
+                str(exc)]}
+            return
+        yield from checks()
+    return run
+
+
 # Suite -> its checks in order, each ``(label, passed, {file: lines})``.
-# The studies calibrate the convention themselves where they read it.
 _CHECKS = {"algebra": _algebra_checks, "kernel": _kernel_checks,
-           "lattice": _lattice_checks, "operators": _operator_checks,
-           "solver": _solver_checks}
+           "lattice": _lattice_checks,
+           "operators": _calibrated("operators", _operator_checks),
+           "solver": _calibrated("solver", _solver_checks)}
 _SUITES = ("all", *_CHECKS)
 
 

@@ -675,11 +675,12 @@ def _bergman_projection(values: np.ndarray, ctx: OperatorContext,
     """Bergman projection of a block of fields ``(m, *grid.shape, 7)``.
 
     Each field is solved on its own (one GEMV per field): a block solve by
-    GEMM would round differently, and the box pressure amplifies a 1e-15
-    relative change in this projection to 2e-8.  The density solve reads
-    every component of the traced volume potential on the live rows; only
-    the boundary potential it feeds is cut to the output components in
-    ``keep`` (the others are exact zeros).
+    GEMM would round differently, which puts perfbench's seed-0
+    torus_p_fixed_point pressure 2e-8 of its scale off the reference (the
+    tolerance is 1e-8).  The density solve reads every component of the
+    traced volume potential on the live rows; only the boundary potential
+    it feeds is cut to the output components in ``keep`` (the others are
+    exact zeros).
     """
     fac = _bergman_factorization(ctx)
     rows = _system_rows(_check_finite(_teodorescu(values, ctx)), ctx)

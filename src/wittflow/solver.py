@@ -202,8 +202,15 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
     iterate; from rest the first one is ``solve_linear``.  Stops after
     ``max_iter >= 1`` sweeps or once the first-order Sobolev increment is
     below ``tol >= 0`` (0 runs them all; a bad setting raises ``ValueError``
-    before the constants are estimated).  Three consecutive increment
-    growths raise ``SolverDivergence``, the partial report riding on it.
+    before any work).  Three consecutive increment growths raise
+    ``SolverDivergence``, the partial report riding on it.
+
+    The contraction constants enter only the report's verdict, so they are
+    estimated (unless given) after the last sweep: the pressure system's
+    SVD, the solve's largest transient, then no longer sits on top of the
+    estimate's memory.  A failure of the estimate itself (a vanishing
+    composite, a stalled Lanczos iteration, degenerate C2 sampling) thus
+    raises after the sweeps, and in place of ``SolverDivergence``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -224,11 +231,6 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
             warnings.append("initial iterate projected onto e-vector fields")
         u = Field(vals, grid)
 
-    if constants is None:
-        constants = estimate_constants(ctx, seed=seed)
-    else:
-        constants = ContractionConstants(*constants, None, None)
-
     history: list[float] = []
     converged = False
     growths = 0
@@ -245,23 +247,27 @@ def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
             converged = True
             break
         if growths >= 3:
-            report = _diagnosed_report(history, constants, prob.forcing,
-                                       u0, False, warnings)
             raise SolverDivergence(
                 "fixed-point residual grew three consecutive iterations",
-                report)
+                _diagnosed_report(prob, history, constants, seed, u0, False,
+                                  warnings))
 
     if not converged:
         warnings.append("iteration cap reached before the tolerance")
-    report = _diagnosed_report(history, constants, prob.forcing, u0,
-                               converged, warnings)
-    return u, p, report
+    return u, p, _diagnosed_report(prob, history, constants, seed, u0,
+                                   converged, warnings)
 
 
-def _diagnosed_report(history, constants, forcing, u0, converged,
+def _diagnosed_report(prob, history, constants, seed, u0, converged,
                       warnings) -> SolverReport:
+    """Report of a fixed-point run, with the constants ``constants`` or, if
+    None, estimated here from ``seed``: only once the sweeps are done."""
+    if constants is None:
+        constants = estimate_constants(prob.ctx, seed=seed)
+    else:
+        constants = ContractionConstants(*constants, None, None)
     c1, c2 = constants
-    f_norm = discrete_norm(forcing, "L2")
+    f_norm = discrete_norm(prob.forcing, "L2")
     u0_norm = 0.0 if u0 is None else discrete_norm(u0, "W11")
     admissible, w_const, l_const = convergence_check(c1, c2, f_norm, u0_norm)
     if not converged:

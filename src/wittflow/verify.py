@@ -42,6 +42,7 @@ __all__ = [
     "linear_solver_study",
     "factorization_probe",
     "factorization_study",
+    "factorization_check",
     "gaussian_mass_check",
     "fixed_point_preset",
     "fixed_point_run",
@@ -576,6 +577,23 @@ def factorization_study(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32), k: float = 1.0,
                        threshold_order=1.8)
 
 
+def factorization_check(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32),
+                        k: float = 1.0) -> CheckTable:
+    """Criterion 3: ``factorization_study`` reaches its order for both
+    signs of the operator, one row per sign and level, each with its sign's
+    fitted order and verdict."""
+    rows = []
+    for sign in (1, -1):
+        study = factorization_study(hs, k, sign)
+        verdict = "pass" if study.passed else "fail"
+        rows += [[sign, h, dt, res, study.fitted_order, verdict]
+                 for h, dt, res in study.levels]
+    return CheckTable(name="factorization_defect",
+                      header=["sign", "h", "dt", "residual", "fitted_order",
+                              "verdict"],
+                      rows=rows)
+
+
 def gaussian_mass_check(k_values=(0.5, 1.0, 2.0), t: float = 0.25,
                         rel_tol: float = 1e-6) -> CheckTable:
     """Radial quadrature of the scalar kernel prefactor against 1/k.
@@ -628,21 +646,31 @@ class FixedPointRun:
     forcing: Field
     constants: tuple[float, float]
     report: SolverReport
-    decreasing: bool   # every residual below the one before
-    passed: bool       # converged, admissible and decreasing
+    decreasing: bool        # every residual below the one before
+    ratios: list[float]     # each residual over the one before, from the 3rd
+    ratios_bounded: bool    # every ratio at most L + 0.1
+    passed: bool            # converged, admissible, decreasing and bounded
 
 
 def fixed_point_run() -> FixedPointRun:
-    """Iterate to 1e-12 in at most 30 sweeps, with the measured constants."""
+    """Iterate to 1e-12 in at most 30 sweeps, with the measured constants.
+
+    Criterion 9: the run must converge with an admissible verdict, every
+    residual must fall, and each ratio of consecutive residuals after the
+    first step from rest must be at most the contraction factor L + 0.1.
+    """
     ctx, forcing, constants = fixed_point_preset()
     _, _, report = fixed_point_solve(NavierStokesProblem(ctx, forcing),
                                      max_iter=30, tol=1e-12,
                                      constants=constants)
     hist = report.residual_history
     decreasing = all(b < a for a, b in zip(hist, hist[1:]))
-    return FixedPointRun(forcing, constants, report, decreasing,
-                         bool(report.admissible) and report.converged
-                         and decreasing)
+    ratios = [b / a for a, b in zip(hist[1:], hist[2:])]
+    bounded = report.L is not None and all(r <= report.L + 0.1
+                                           for r in ratios)
+    return FixedPointRun(forcing, constants, report, decreasing, ratios,
+                         bounded, bool(report.admissible) and
+                         report.converged and decreasing and bounded)
 
 
 def quasi_periodicity_check(spec: LatticeSpec, params: KernelParams,

@@ -602,3 +602,23 @@ class TestCheck:
         assert [p.name for p in tmp_path.iterdir()] == ["calibration.txt"]
         assert (tmp_path / "calibration.txt").read_text() == (
             "operator convention calibration is ambiguous\n")
+
+    def test_failed_calibration_fails_each_suite_that_reads_it(
+            self, tmp_path, capsys, monkeypatch):
+        # the operators suite used to calibrate again and, failing too, end
+        # the run with exit 3: no line and no file from operators or solver
+        from wittflow import kernels, verify
+
+        def ambiguous():
+            raise RuntimeError("operator convention calibration is "
+                               "ambiguous")
+        monkeypatch.setattr(kernels, "_convention", None)
+        monkeypatch.setattr(verify, "calibrate_convention", ambiguous)
+        assert cli.main(["check", "--suite", "all",
+                         "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            *self.SUITES["algebra"][1], "FAIL kernel_calibration",
+            *self.SUITES["lattice"][1], "FAIL operators_calibration",
+            "FAIL solver_calibration"]
+        assert (tmp_path / "calibration.txt").read_text() == (
+            "operator convention calibration is ambiguous\n")

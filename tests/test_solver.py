@@ -372,6 +372,44 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match=match):
             fixed_point_solve(prob, **setting)
 
+    def test_constants_estimated_after_the_last_sweep(self, constants,
+                                                      monkeypatch):
+        # the estimate runs once, after the sweeps have built the pressure
+        # system, so its memory never sits under that system's SVD; its C1,
+        # C2 and Lanczos diagnostics are a standalone estimate's (on another
+        # context of the same torus) bit for bit, on a diverging solve too
+        from wittflow import solver
+        ctx = torus_ctx()
+        events = []
+        sweep_core = solver._sweep
+
+        def sweep(*args):
+            events.append("sweep")
+            return sweep_core(*args)
+
+        def estimate(c, seed=0):
+            assert "pressure_system" in c._cache
+            events.append("constants")
+            return estimate_constants(c, seed=seed)
+        monkeypatch.setattr(solver, "_sweep", sweep)
+        monkeypatch.setattr(solver, "estimate_constants", estimate)
+        base = verify.vector_bump_field(ctx.domain.grid)
+        f = base * (1e6 / discrete_norm(base, "L2"))
+        with pytest.raises(SolverDivergence) as err:
+            fixed_point_solve(NavierStokesProblem(ctx, f), max_iter=40,
+                              tol=1e-12)
+        diverged = err.value.report
+        assert events[-1] == "constants" and events.count("constants") == 1
+        assert events.count("sweep") == diverged.iterations >= 4
+        events.clear()
+        _, _, report = fixed_point_solve(NavierStokesProblem(ctx, f * 1e-8),
+                                         max_iter=3, tol=0.0)
+        assert events == ["sweep"] * 3 + ["constants"]
+        for got in (diverged, report):
+            assert (got.C1, got.C2) == constants
+            assert got.C1_steps == constants.c1_steps
+            assert got.C1_residual == constants.c1_residual
+
     def test_admissible_preset_contracts(self, small_ctx, constants):
         c1, c2 = constants
         bound = 1.0 / (16.0 * c1 * c1 * c2)
