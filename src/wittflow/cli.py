@@ -209,6 +209,10 @@ def load_config(path: str) -> RunConfig:
         read(key, SpaceTimeGrid, cfg.h, cfg.dt, dims, slabs,
              LatticeSpec(cfg.rank, cfg.anti_flags))
 
+    if "forcing.preset" in entries and "forcing.csv" in entries:
+        raise ConfigError(f"{at('forcing.preset')}: forcing.preset and "
+                          f"forcing.csv (line {entries['forcing.csv'][1]}) "
+                          "both give the forcing; keep one of them")
     if cfg.forcing_csv is None and cfg.forcing_preset not in _PRESETS:
         raise ConfigError(f"{at('forcing.preset')}: unknown forcing.preset "
                           f"{cfg.forcing_preset!r} (choose from {_PRESETS} "

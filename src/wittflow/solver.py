@@ -273,7 +273,7 @@ def _diagnosed_report(prob, history, constants, seed, u0, converged,
     if not converged:
         admissible = False
     warnings = list(warnings)
-    if f_norm > _forcing_bound(c1, c2):
+    if w_const is None:
         warnings.append("forcing exceeds the admissibility bound; no "
                         "convergence guarantee")
     return SolverReport(
@@ -295,10 +295,16 @@ def _composite(ctx: OperatorContext, v: Field) -> Field:
     return teodorescu(Field(w, v.grid), ctx)
 
 
-def _composite_transpose(ctx: OperatorContext, w: Field) -> Field:
-    inner = teodorescu_adjoint(w, ctx)
+def _normal(ctx: OperatorContext, x: np.ndarray) -> np.ndarray:
+    """Normal operator of the composite from L2 to W11 on the flat field
+    ``x``: the composite, the W11 Gram operator, the composite's transpose
+    through the adjoint potentials, and the L2 cell volume divided out."""
+    grid = ctx.domain.grid
+    av = _composite(ctx, Field(x.reshape(grid.shape + (7,)), grid))
+    inner = teodorescu_adjoint(_sobolev_gram(av), ctx)
     inner = inner - bergman_projection_adjoint(inner, ctx)
-    return teodorescu_adjoint(inner, ctx)
+    return teodorescu_adjoint(inner, ctx).values.reshape(-1) \
+        / grid.cell_volume
 
 
 class ContractionConstants(tuple):
@@ -322,17 +328,10 @@ def _composite_norm(ctx: OperatorContext,
     operator application each) and the relative Ritz residual of the last
     step.
     """
-    grid = ctx.domain.grid
-
-    def normal(x):
-        av = _composite(ctx, Field(x.reshape(v.shape), grid))
-        z = _composite_transpose(ctx, _sobolev_gram(av))
-        return z.values.reshape(-1) / grid.cell_volume
-
     basis = [v.reshape(-1) / np.linalg.norm(v)]
     alpha, beta = [], []
     for steps in range(1, min(_LANCZOS_STEPS, v.size) + 1):
-        w = normal(basis[-1])
+        w = _normal(ctx, basis[-1])
         if steps == 1 and not np.any(w):
             raise RuntimeError("the velocity composite vanished on this "
                                "grid: its norm cannot be estimated")

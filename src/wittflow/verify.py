@@ -359,14 +359,24 @@ def _bp_level(ctx: OperatorContext, u: Field):
 _FLAT_TORUS = LatticeSpec(3, (False, False, False))
 
 
-def _study_domains(levels, horizon, lattice: LatticeSpec):
-    domains = []
+def _study_contexts(levels, horizon, k, lattice: LatticeSpec):
+    """Calibrate once, then yield one context per refinement level
+    ``(n, nt)``: spacing 1/n, time step horizon/nt, unit free extents."""
+    ensure_convention()
     for n, nt in levels:
-        h = 1.0 / n
-        dt = horizon / nt
-        domains.append(build_quotient_domain(
-            lattice, [1.0] * (3 - lattice.rank), horizon, h, dt))
-    return domains
+        yield OperatorContext(build_quotient_domain(
+            lattice, [1.0] * (3 - lattice.rank), horizon, 1.0 / n,
+            horizon / nt), KernelParams(k))
+
+
+def _fitted(name: str, rows, threshold: float, condition: bool = True,
+            **extras) -> StudyResult:
+    """The study of the ``(h, dt, residual)`` rows with their fitted order;
+    it passes when ``condition`` holds and the order reaches ``threshold``."""
+    order = fit_order([r[0] for r in rows], [r[2] for r in rows])
+    return StudyResult(name=name, levels=rows, fitted_order=order,
+                       passed=condition and order >= threshold,
+                       threshold_order=threshold, extras=extras)
 
 
 def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
@@ -379,25 +389,18 @@ def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
     with the spatial error.  The companion residual against the algebra's
     reproducing idempotent acting on the field is reported in extras.
     """
-    ensure_convention()
     rows = []
     companion = []
-    for dom in _study_domains(levels, horizon, lattice):
-        ctx = OperatorContext(dom, KernelParams(k))
-        u = preset(dom.grid)
-        res_id, res_rep = _bp_level(ctx, u)
-        rows.append((dom.grid.h, dom.grid.dt, res_id))
-        companion.append((dom.grid.h, dom.grid.dt, res_rep))
-    hs = [r[0] for r in rows]
-    order = fit_order(hs, [r[2] for r in rows])
-    rep_order = fit_order(hs, [r[2] for r in companion])
+    for ctx in _study_contexts(levels, horizon, k, lattice):
+        grid = ctx.domain.grid
+        res_id, res_rep = _bp_level(ctx, preset(grid))
+        rows.append((grid.h, grid.dt, res_id))
+        companion.append((grid.h, grid.dt, res_rep))
     name = "borel_pompeiu" + ("" if lattice.rank == 0
                               else f"_rank{lattice.rank}")
-    return StudyResult(
-        name=name, levels=rows, fitted_order=order,
-        passed=order >= 1.0, threshold_order=1.0,
-        extras={"reproducer_levels": companion,
-                "reproducer_order": rep_order})
+    return _fitted(name, rows, 1.0, reproducer_levels=companion,
+                   reproducer_order=fit_order([r[0] for r in companion],
+                                              [r[2] for r in companion]))
 
 
 def volume_reproduction_study(base: StudyResult) -> StudyResult:
@@ -414,8 +417,7 @@ def volume_reproduction_study(base: StudyResult) -> StudyResult:
     name = base.name.replace("borel_pompeiu", "volume_reproduction")
     return StudyResult(name=name, levels=rows, fitted_order=order,
                        passed=order >= 1.0, threshold_order=1.0,
-                       extras={"identity_levels": base.levels,
-                               "identity_order": base.fitted_order})
+                       extras={"identity_levels": base.levels})
 
 
 def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
@@ -425,41 +427,37 @@ def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
 
     Runs on the rank-3 quotient by default, where the boundary system is
     full rank.  Pass requires the mean defect over the seeded fields to
-    decrease monotonically across levels.  Degenerate samples (either
-    projection numerically zero) are skipped and counted in extras.
+    decrease monotonically across levels (a strictly falling defect has a
+    positive fitted order, so the order bar of 0 adds nothing).  Degenerate
+    samples (either projection numerically zero) are skipped and counted
+    in extras.
     """
-    ensure_convention()
     rows = []
     skipped = 0
     idempotency = []
-    for dom in _study_domains(levels, horizon, lattice):
-        ctx = OperatorContext(dom, KernelParams(k))
+    for ctx in _study_contexts(levels, horizon, k, lattice):
+        grid = ctx.domain.grid
         rng = np.random.default_rng(seed)
         defects = []
         worst_idem = 0.0
         for _ in range(n_fields):
-            u = random_smooth_field(dom.grid, rng)
+            u = random_smooth_field(grid, rng)
             pu = bergman_projection(u, ctx)
             qu = u - pu
             np_, nq = discrete_norm(pu, "L2"), discrete_norm(qu, "L2")
             if np_ < 1e-12 or nq < 1e-12:
                 skipped += 1
                 continue
-            inner = float(np.sum(pu.values * qu.values)
-                          * dom.grid.cell_volume)
+            inner = float(np.sum(pu.values * qu.values) * grid.cell_volume)
             defects.append(abs(inner) / (np_ * nq))
             ppu = bergman_projection(pu, ctx)
             worst_idem = max(worst_idem,
                              discrete_norm(ppu - pu, "L2") / max(np_, 1e-300))
-        rows.append((dom.grid.h, dom.grid.dt, float(np.mean(defects))))
+        rows.append((grid.h, grid.dt, float(np.mean(defects))))
         idempotency.append(worst_idem)
-    defect_values = [r[2] for r in rows]
-    monotone = all(b < a for a, b in zip(defect_values, defect_values[1:]))
-    order = fit_order([r[0] for r in rows], defect_values)
-    return StudyResult(
-        name="hodge_orthogonality", levels=rows, fitted_order=order,
-        passed=monotone, threshold_order=0.0,
-        extras={"skipped": skipped, "idempotency": idempotency})
+    monotone = all(b[2] < a[2] for a, b in zip(rows, rows[1:]))
+    return _fitted("hodge_orthogonality", rows, 0.0, monotone,
+                   skipped=skipped, idempotency=idempotency)
 
 
 def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
@@ -468,34 +466,25 @@ def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
     """Manufactured-solution recovery error of the linear solve.
 
     Runs on the rank-3 quotient by default.  Levels record the relative L2
-    velocity error; extras carry the pressure errors, the recovered
-    divergence residuals, and the matching discretization bounds measured
-    on the reference solution.
+    velocity error; extras carry the recovered divergence residuals and the
+    matching discretization bounds measured on the reference solution.
     """
-    ensure_convention()
     rows = []
-    p_errors = []
     div_pairs = []
-    for dom in _study_domains(levels, horizon, lattice):
-        ctx = OperatorContext(dom, KernelParams(k))
-        u_ref, p_ref, forcing = manufactured_problem(ctx)
-        u, p, _ = solve_linear(NavierStokesProblem(ctx, forcing))
+    for ctx in _study_contexts(levels, horizon, k, lattice):
+        grid = ctx.domain.grid
+        u_ref, _, forcing = manufactured_problem(ctx)
+        u, _, _ = solve_linear(NavierStokesProblem(ctx, forcing))
         nrm = discrete_norm(u_ref, "L2")
-        rows.append((dom.grid.h, dom.grid.dt,
-                     discrete_norm(u - u_ref, "L2") / nrm))
-        p_errors.append(discrete_norm(p - p_ref, "L2")
-                        / max(discrete_norm(p_ref, "L2"), 1e-300))
+        rows.append((grid.h, grid.dt, discrete_norm(u - u_ref, "L2") / nrm))
         div_rec = discrete_norm(discrete_div(u), "L2") / max(
             discrete_norm(u, "L2"), 1e-300)
         div_ref = discrete_norm(discrete_div(u_ref), "L2") / nrm
         recovery = discrete_norm(u - u_ref, "W11") / nrm
         div_pairs.append((div_rec, div_ref + recovery))
-    order = fit_order([r[0] for r in rows], [r[2] for r in rows])
     div_ok = all(rec <= bound for rec, bound in div_pairs)
-    return StudyResult(
-        name="linear_manufactured", levels=rows, fitted_order=order,
-        passed=(order >= 1.0) and div_ok, threshold_order=1.0,
-        extras={"pressure_errors": p_errors, "divergence_pairs": div_pairs})
+    return _fitted("linear_manufactured", rows, 1.0, div_ok,
+                   divergence_pairs=div_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +560,7 @@ def factorization_study(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32), k: float = 1.0,
         probe, grid = factorization_probe(h)
         res = factorization_residual(probe, grid, KernelParams(k), sign)
         rows.append((h, grid.dt, res))
-    order = fit_order([r[0] for r in rows], [r[2] for r in rows])
-    return StudyResult(name="factorization_defect", levels=rows,
-                       fitted_order=order, passed=order >= 1.8,
-                       threshold_order=1.8)
+    return _fitted("factorization_defect", rows, 1.8)
 
 
 def factorization_check(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32),
@@ -628,12 +614,9 @@ def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
     scaled to ``load_factor`` times the closed-form smallness bound for the
     measured constants.
     """
-    ensure_convention()
-    domain = build_quotient_domain(_FLAT_TORUS, [], horizon, 1.0 / n,
-                                   horizon / nt)
-    ctx = OperatorContext(domain, KernelParams(k))
+    ctx = next(_study_contexts([(n, nt)], horizon, k, _FLAT_TORUS))
     c1, c2 = estimate_constants(ctx, seed=seed)
-    base = vector_bump_field(domain.grid)
+    base = vector_bump_field(ctx.domain.grid)
     scale = (load_factor * _forcing_bound(c1, c2)
              / discrete_norm(base, "L2"))
     return ctx, base * scale, (c1, c2)

@@ -23,6 +23,8 @@ solver.mode = linear
 output.dir = {out}
 """
 
+# BASE_CONFIG for a forcing given by a CSV: a config gives one of the two.
+CSV_CONFIG = BASE_CONFIG.replace("forcing.preset = vector_bump\n", "")
 
 BOX = {"domain.kind": "box", "domain.extent": "0.75,0.75,0.75"}
 
@@ -442,7 +444,7 @@ class TestCommands:
         csv = tmp_path / "forcing.csv"
         if rows is not None:
             csv.write_text(rows)
-        cfg = write_config(tmp_path, **{"forcing.csv": csv})
+        cfg = write_config(tmp_path, CSV_CONFIG, **{"forcing.csv": csv})
         assert cli.main(["solve", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: bad value for "
@@ -457,11 +459,31 @@ class TestCommands:
         csv = tmp_path / "forcing.csv"
         export_field_csv(vector_bump_field(
             SpaceTimeGrid(h=0.5, dt=0.25, dims=(4, 4, 4), nt=4)), csv)
-        cfg = write_config(tmp_path, **{"forcing.csv": csv})
+        cfg = write_config(tmp_path, CSV_CONFIG, **{"forcing.csv": csv})
         assert cli.main(["solve", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(
             "configuration error: bad value for forcing.csv: row 1 is not "
             "at the grid's node x,y,z,t = 0.125,0.125,0.125,0.0625")
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("preset", ["vector_bump", "no_such_preset"])
+    def test_solve_refuses_forcing_preset_beside_csv_exit_2(
+            self, tmp_path, preset, capsys, no_calibration):
+        # the preset used to be ignored without a word, even an unknown one,
+        # and the CSV, here one of the config's own grid, was solved
+        from wittflow.domain import build_quotient_domain, export_field_csv
+        from wittflow.lattice import LatticeSpec
+        from wittflow.verify import vector_bump_field
+        csv = tmp_path / "forcing.csv"
+        export_field_csv(vector_bump_field(build_quotient_domain(
+            LatticeSpec(3, (False,) * 3), [], 0.5, 0.25, 0.125).grid), csv)
+        cfg = write_config(tmp_path, **{"forcing.preset": preset,
+                                        "forcing.csv": csv})
+        lines = Path(cfg).read_text().splitlines()
+        at = lines.index(f"forcing.preset = {preset}") + 1
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert (f":{at}: forcing.preset and forcing.csv (line {len(lines)}) "
+                "both give the forcing" in capsys.readouterr().err)
         assert not (tmp_path / "artifacts").exists()
 
     def test_diverged_solve_exit_3_drops_stale_solution(

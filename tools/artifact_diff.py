@@ -7,16 +7,18 @@ config and forcing are written once with ``workloads.prepare``.  Each tree
 then runs ``wittflow --threads 1 solve`` on them in a fresh interpreter
 with its own ``src`` on ``PYTHONPATH``, and ``solution.csv``,
 ``residuals.csv``, ``summary.txt``, stdout and the exit code are compared
-byte for byte.  Each tree also runs ``wittflow --threads 1 check --suite
-all``, whose exit code, stdout and every file it writes are compared by
-name and bytes.  Prints one line per workload and seed and one for the
+byte for byte, and so are the stdout and exit code of ``wittflow
+--threads 1 constants`` on the same config and seed.  Each tree also runs
+``wittflow --threads 1 check --suite all``, whose exit code, stdout and
+every file it writes are compared by name and bytes.  Prints one line per
+workload and seed for the solve, one for the constants and one for the
 check; exits 1 if any of them differs.  Each line also reports both runs'
 peak RSS (the child's own, from ``os.wait4``), for information only: it
 never counts as a difference.  Both trees' ``src`` are first copied to
 temporary paths of equal length, since the peak RSS moves by up to about
 1 MiB with the length of the path the package is imported from.  A run of
 all three workloads at one seed takes about 30 s per tree on one core, the
-check about 25 s.
+constants about 10 s and the check about 25 s.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ def run_tree(tree: Path, config: Path, out: Path, seed: int) -> dict:
         path = out / name
         got[name] = path.read_bytes() if path.exists() else None
     return got
+
+
+def run_constants(tree: Path, config: Path, out: Path, seed: int) -> dict:
+    """Stdout and exit code of one ``constants`` run under ``tree``."""
+    return run_wittflow(tree, out, "constants", "--config", str(config),
+                        "--seed", str(seed))
 
 
 def run_check(tree: Path, out: Path) -> dict:
@@ -114,6 +122,10 @@ def main(argv=None) -> int:
                 old = run_tree(old_tree, config, work / "old", seed)
                 new = run_tree(new_tree, config, work / "new", seed)
                 differ |= report(f"{name} seed {seed}", old, new)
+                differ |= report(
+                    f"{name} seed {seed} constants",
+                    run_constants(old_tree, config, work / "old", seed),
+                    run_constants(new_tree, config, work / "new", seed))
         work = Path(tmp) / "check"
         differ |= report("check --suite all",
                          run_check(old_tree, work / "old" / "out"),
