@@ -20,7 +20,7 @@ _EXPORTS = {
     "kernels": ("KernelParams", "SpaceTimePoint", "fundamental_solution",
                 "dual_fundamental_solution", "apply_parabolic_dirac",
                 "factorization_residual"),
-    "lattice": ("LatticeSpec", "LatticeShell", "shell_points", "sign_of",
+    "lattice": ("LatticeSpec", "shell_points", "sign_of",
                 "tail_bound", "periodized_fundamental_solution"),
     "domain": ("SpaceTimeGrid", "Field", "Domain", "build_box_domain",
                "build_quotient_domain", "discrete_spatial_dirac",

@@ -236,6 +236,16 @@ def _bad_flag(checks) -> bool:
     return False
 
 
+def _make_dir(path: Path, name: str) -> Path:
+    """``path``, created as a directory if it is not one; one that cannot
+    be created is refused with an error naming ``name``, its flag or key."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+    return path
+
+
 def _write_text(path: Path, lines) -> None:
     path.write_text("".join(line + "\n" for line in lines))
 
@@ -245,22 +255,33 @@ def _residual_rows(report) -> list[str]:
                                 enumerate(report.residual_history)]
 
 
-def _set_up(cfg: RunConfig):
-    """Calibrated convention, context and forcing of a run; a forcing CSV
-    that does not fit the grid is refused before the calibration."""
+def _set_up(cfg: RunConfig, output: tuple[Path, str] | None = None):
+    """Calibrated convention, context and forcing of a run.  Refused before
+    the calibration: a forcing CSV that does not fit the grid, and for a
+    solve (``output``: its directory and the flag or key naming it) a grid
+    above the pressure cap or a directory that cannot be created."""
     from . import verify
     from .domain import Field, build_quotient_domain, load_field_csv
     from .kernels import KernelParams
     from .lattice import LatticeSpec
     from .potentials import OperatorContext
+    from .solver import MAX_PRESSURE_CELLS
     domain = build_quotient_domain(LatticeSpec(cfg.rank, cfg.anti_flags),
                                    cfg.extent[cfg.rank:], cfg.horizon,
                                    cfg.h, cfg.dt)
+    cells = domain.grid.n_cells
+    if output is not None and cells > MAX_PRESSURE_CELLS:
+        raise ConfigError(
+            f"the grid of grid.h = {cfg.h} and grid.dt = {cfg.dt} has "
+            f"{cells} cells; the dense pressure solve takes at most "
+            f"solver.MAX_PRESSURE_CELLS = {MAX_PRESSURE_CELLS}")
     if cfg.forcing_csv is not None:
         try:
             f = load_field_csv(cfg.forcing_csv, domain.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad value for forcing.csv: {exc}") from exc
+    if output is not None:
+        _make_dir(*output)
     verify.ensure_convention()
     ctx = OperatorContext(domain, KernelParams(cfg.k), quad_tol=cfg.quad_tol)
     presets = {"zero": Field.zeros, "vector_bump": verify.vector_bump_field,
@@ -282,8 +303,9 @@ def cmd_solve(args) -> int:
         print("bad --tol: solver.mode = linear runs one sweep and has no "
               "tolerance", file=sys.stderr)
         return 2
-    ctx, forcing = _set_up(cfg)
     out_dir = Path(args.output or cfg.output_dir)
+    ctx, forcing = _set_up(cfg, (out_dir, "--output" if args.output
+                                 else "output.dir"))
     prob = NavierStokesProblem(ctx, forcing)
 
     exit_code = 0
@@ -300,7 +322,6 @@ def cmd_solve(args) -> int:
             u = p = None
             report, exit_code = exc.report, 3
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     if u is not None:
         export_solution_csv(u, p, out_dir / "solution.csv")
     else:   # no older run's solution beside this run's artifacts
@@ -460,8 +481,7 @@ _SUITES = ("all", *_CHECKS)
 
 
 def cmd_check(args) -> int:
-    out_dir = Path(args.output or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.output or "out"), "--output")
     all_ok = True
     for suite in _CHECKS if args.suite == "all" else [args.suite]:
         for label, ok, files in _CHECKS[suite]():

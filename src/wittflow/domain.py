@@ -17,6 +17,7 @@ from the grid which axes wrap, and with which sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,13 +78,11 @@ class SpaceTimeGrid:
     dims: tuple[int, int, int]
     nt: int
     lattice: LatticeSpec = LatticeSpec()
-    t0: float = 0.0
+    t0: ClassVar[float] = 0.0   # every grid's time axis starts at 0
 
     def __post_init__(self):
         if not (0 < self.h < np.inf and 0 < self.dt < np.inf):
             raise ValueError("grid spacings must be positive and finite")
-        if not np.isfinite(self.t0):
-            raise ValueError("initial time must be finite")
         if self.nt < 2:
             raise ValueError("need at least 2 time slabs")
         for d, n in enumerate(self.dims):

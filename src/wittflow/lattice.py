@@ -20,8 +20,6 @@ on the other times it is summed with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import LatticeSpec
@@ -31,7 +29,6 @@ from .kernels import (KernelParams, SpaceTimePoint, _check_not_singular,
 
 __all__ = [
     "LatticeSpec",
-    "LatticeShell",
     "shell_points",
     "sign_of",
     "tail_bound",
@@ -51,31 +48,21 @@ MAX_SHELLS = 64
 _BLOCK_PAIRS = 16384
 
 
-@dataclass(frozen=True)
-class LatticeShell:
-    """All sublattice points at exact max-norm radius m, lex ordered."""
-
-    m: int
-    points: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def shell_points(m: int, spec: LatticeSpec) -> LatticeShell:
-    """Enumerate the rank-restricted lattice shell of max-norm radius m."""
+def shell_points(m: int, spec: LatticeSpec) -> np.ndarray:
+    """The rank-restricted sublattice points ``(n, 3)`` at exact max-norm
+    radius m, as int64 in lex order."""
     if m < 0:
         raise ValueError("shell radius must be >= 0")
     if m == 0:
-        return LatticeShell(0, np.zeros((1, 3), dtype=np.int64))
+        return np.zeros((1, 3), dtype=np.int64)
     if spec.rank == 0:
-        return LatticeShell(m, np.zeros((0, 3), dtype=np.int64))
+        return np.zeros((0, 3), dtype=np.int64)
     rng = np.arange(-m, m + 1, dtype=np.int64)
     grid = np.meshgrid(*([rng] * spec.rank), indexing="ij")
     cube = np.stack([g.ravel() for g in grid], axis=-1)
     pts = np.zeros((len(cube), 3), dtype=np.int64)
     pts[:, :spec.rank] = cube
-    return LatticeShell(m, pts[np.max(np.abs(cube), axis=1) == m])
+    return pts[np.max(np.abs(cube), axis=1) == m]
 
 
 def sign_of(omega, spec: LatticeSpec) -> int:
@@ -223,8 +210,8 @@ def _shell_sums(points: np.ndarray, times: np.ndarray, params: KernelParams,
         factors = _time_factors(times[rows], params.k)
         for m in range(counts[rows].max()):
             shell = shell_points(m, spec)
-            signs = _signs_of(shell.points, spec)[:, None, None]
-            offsets = shell.points.T.astype(float)[:, :, None, None]
+            signs = _signs_of(shell, spec)[:, None, None]
+            offsets = shell.T.astype(float)[:, :, None, None]
             # the times whose plan reaches this shell
             reach = counts[rows] > m
             now = [f[reach][:, None] for f in factors]
@@ -284,10 +271,10 @@ def brute_force_periodized(points: np.ndarray, t: float,
     value = np.zeros((n, 7))
     for m in range(radius + 1):
         shell = shell_points(m, spec)
-        if not len(shell.points):
+        if not len(shell):
             continue
-        signs = _signs_of(shell.points, spec)
-        shifted = points[:, None, :] + shell.points[None, :, :]
+        signs = _signs_of(shell, spec)
+        shifted = points[:, None, :] + shell[None, :, :]
         contrib = fundamental_solution_array(shifted, t, params.k)
         value += signs @ contrib
     if spec.rank == 0:

@@ -278,10 +278,10 @@ def scalar_bump_field(grid) -> Field:
     return Field(vals, grid)
 
 
-def vector_bump_field(grid, coeffs=(1.0, -0.7, 0.4)) -> Field:
+def vector_bump_field(grid) -> Field:
     vals = np.zeros(grid.shape + (7,))
     w = _space_window(grid)[..., None] * _time_window(grid)
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate((1.0, -0.7, 0.4)):
         vals[..., 1 + i] = c * w
     return Field(vals, grid)
 
@@ -300,12 +300,12 @@ def divergence_free_field(grid) -> Field:
     return Field(vals, grid)
 
 
-def random_smooth_field(grid, rng, n_modes: int = 3) -> Field:
-    """Superposition of random smooth bumps in every algebra component."""
+def random_smooth_field(grid, rng) -> Field:
+    """Superposition of 3 random smooth bumps in every algebra component."""
     xs, ts = grid.node_positions()
     vals = np.zeros(grid.shape + (7,))
     ext = np.asarray(grid.extent)
-    for _ in range(n_modes):
+    for _ in range(3):
         center = rng.uniform(0.2, 0.8, size=3) * ext
         width = rng.uniform(0.15, 0.4) * float(np.min(ext))
         r2 = np.sum((xs - center) ** 2, axis=-1) / width ** 2
@@ -359,14 +359,15 @@ def _bp_level(ctx: OperatorContext, u: Field):
 _FLAT_TORUS = LatticeSpec(3, (False, False, False))
 
 
-def _study_contexts(levels, horizon, k, lattice: LatticeSpec):
+def _study_contexts(levels, lattice: LatticeSpec):
     """Calibrate once, then yield one context per refinement level
-    ``(n, nt)``: spacing 1/n, time step horizon/nt, unit free extents."""
+    ``(n, nt)``: spacing 1/n, time step 0.5/nt on the horizon 0.5, unit
+    free extents, k = 1."""
     ensure_convention()
     for n, nt in levels:
         yield OperatorContext(build_quotient_domain(
-            lattice, [1.0] * (3 - lattice.rank), horizon, 1.0 / n,
-            horizon / nt), KernelParams(k))
+            lattice, [1.0] * (3 - lattice.rank), 0.5, 1.0 / n, 0.5 / nt),
+            KernelParams(1.0))
 
 
 def _fitted(name: str, rows, threshold: float, condition: bool = True,
@@ -379,8 +380,8 @@ def _fitted(name: str, rows, threshold: float, condition: bool = True,
                        threshold_order=threshold, extras=extras)
 
 
-def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
-                        k=1.0, lattice: LatticeSpec = LatticeSpec(),
+def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)),
+                        lattice: LatticeSpec = LatticeSpec(),
                         preset=scalar_bump_field) -> StudyResult:
     """Residual of the volume/boundary reconstruction against the field.
 
@@ -391,7 +392,7 @@ def borel_pompeiu_study(levels=((4, 8), (6, 18), (8, 32)), horizon=0.5,
     """
     rows = []
     companion = []
-    for ctx in _study_contexts(levels, horizon, k, lattice):
+    for ctx in _study_contexts(levels, lattice):
         grid = ctx.domain.grid
         res_id, res_rep = _bp_level(ctx, preset(grid))
         rows.append((grid.h, grid.dt, res_id))
@@ -420,24 +421,22 @@ def volume_reproduction_study(base: StudyResult) -> StudyResult:
                        extras={"identity_levels": base.levels})
 
 
-def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
-                n_fields: int = 10, seed: int = 7,
-                lattice: LatticeSpec = _FLAT_TORUS) -> StudyResult:
+def hodge_study(levels=((4, 10), (5, 14), (6, 18)),
+                n_fields: int = 10) -> StudyResult:
     """Orthogonality defect of the projection pair across refinements.
 
-    Runs on the rank-3 quotient by default, where the boundary system is
-    full rank.  Pass requires the mean defect over the seeded fields to
-    decrease monotonically across levels (a strictly falling defect has a
-    positive fitted order, so the order bar of 0 adds nothing).  Degenerate
-    samples (either projection numerically zero) are skipped and counted
-    in extras.
+    Runs on the rank-3 quotient, where the boundary system is full rank.
+    Pass requires the mean defect over the fields of seed 7 to decrease
+    monotonically across levels (a strictly falling defect has a positive
+    fitted order, so the order bar of 0 adds nothing).  Degenerate samples
+    (either projection numerically zero) are skipped and counted in extras.
     """
     rows = []
     skipped = 0
     idempotency = []
-    for ctx in _study_contexts(levels, horizon, k, lattice):
+    for ctx in _study_contexts(levels, _FLAT_TORUS):
         grid = ctx.domain.grid
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         defects = []
         worst_idem = 0.0
         for _ in range(n_fields):
@@ -460,18 +459,17 @@ def hodge_study(levels=((4, 10), (5, 14), (6, 18)), horizon=0.5, k=1.0,
                    skipped=skipped, idempotency=idempotency)
 
 
-def linear_solver_study(levels=((3, 6), (4, 10), (5, 14)), horizon=0.5,
-                        k=1.0, lattice: LatticeSpec = _FLAT_TORUS) \
-        -> StudyResult:
+def linear_solver_study() -> StudyResult:
     """Manufactured-solution recovery error of the linear solve.
 
-    Runs on the rank-3 quotient by default.  Levels record the relative L2
-    velocity error; extras carry the recovered divergence residuals and the
-    matching discretization bounds measured on the reference solution.
+    Runs on the rank-3 quotient at levels (3, 6), (4, 10) and (5, 14).
+    Levels record the relative L2 velocity error; extras carry the recovered
+    divergence residuals and the matching discretization bounds measured on
+    the reference solution.
     """
     rows = []
     div_pairs = []
-    for ctx in _study_contexts(levels, horizon, k, lattice):
+    for ctx in _study_contexts(((3, 6), (4, 10), (5, 14)), _FLAT_TORUS):
         grid = ctx.domain.grid
         u_ref, _, forcing = manufactured_problem(ctx)
         u, _, _ = solve_linear(NavierStokesProblem(ctx, forcing))
@@ -501,25 +499,21 @@ def _random_points(rng, n: int) -> np.ndarray:
     return rng.uniform(-0.5, 0.5, size=(n, 3))
 
 
-def lattice_bruteforce_check(points=None, spec: LatticeSpec = _FLAT_TORUS,
+def lattice_bruteforce_check(spec: LatticeSpec = _FLAT_TORUS,
                              params: KernelParams = KernelParams(1.0),
-                             t: float = 0.5, tol: float = 1e-10,
-                             brute_radius: int = 12,
+                             tol: float = 1e-10,
                              seed: int = 3) -> CheckTable:
     """Shell-summed kernel against exhaustive enumeration, point by point.
 
     A row passes when the difference is within the sum of the reported
     shell tail and the enumeration's own tail bound.
     """
-    if points is None:
-        points = _random_points(np.random.default_rng(seed), 20)
-    points = np.atleast_2d(points)
-    brute, brute_tail = brute_force_periodized(points, t, params, spec,
-                                               brute_radius)
+    points = _random_points(np.random.default_rng(seed), 20)
+    brute, brute_tail = brute_force_periodized(points, 0.5, params, spec, 12)
     rows = []
     for i, x in enumerate(points):
         value, tail, shells = periodized_solution_batch(
-            x[None, :], t, params, spec, tol)
+            x[None, :], 0.5, params, spec, tol)
         diff = float(np.linalg.norm(value[0] - brute[i]))
         allowed = tail + brute_tail
         rows.append([float(x[0]), float(x[1]), float(x[2]), diff,
@@ -544,8 +538,7 @@ def factorization_probe(h: float, nt: int = 32):
     return Field(vals, grid), grid
 
 
-def factorization_study(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32), k: float = 1.0,
-                        sign: int | None = None) -> StudyResult:
+def factorization_study(sign: int | None = None) -> StudyResult:
     """Second-order decay of the factorization defect on a Gaussian preset.
 
     The defect compares the twice-applied first-order operator with the
@@ -556,21 +549,20 @@ def factorization_study(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32), k: float = 1.0,
     from .kernels import factorization_residual
     ensure_convention()
     rows = []
-    for h in hs:
+    for h in (1.0 / 8, 1.0 / 16, 1.0 / 32):
         probe, grid = factorization_probe(h)
-        res = factorization_residual(probe, grid, KernelParams(k), sign)
+        res = factorization_residual(probe, grid, KernelParams(1.0), sign)
         rows.append((h, grid.dt, res))
     return _fitted("factorization_defect", rows, 1.8)
 
 
-def factorization_check(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32),
-                        k: float = 1.0) -> CheckTable:
+def factorization_check() -> CheckTable:
     """Criterion 3: ``factorization_study`` reaches its order for both
     signs of the operator, one row per sign and level, each with its sign's
     fitted order and verdict."""
     rows = []
     for sign in (1, -1):
-        study = factorization_study(hs, k, sign)
+        study = factorization_study(sign)
         verdict = "pass" if study.passed else "fail"
         rows += [[sign, h, dt, res, study.fitted_order, verdict]
                  for h, dt, res in study.levels]
@@ -580,8 +572,7 @@ def factorization_check(hs=(1.0 / 8, 1.0 / 16, 1.0 / 32),
                       rows=rows)
 
 
-def gaussian_mass_check(k_values=(0.5, 1.0, 2.0), t: float = 0.25,
-                        rel_tol: float = 1e-6) -> CheckTable:
+def gaussian_mass_check(k_values=(0.5, 1.0, 2.0)) -> CheckTable:
     """Radial quadrature of the scalar kernel prefactor against 1/k.
 
     Integrates sqrt(k) exp(-k r^2/4t) / (2 sqrt(pi t))^3 over the ball of
@@ -590,6 +581,7 @@ def gaussian_mass_check(k_values=(0.5, 1.0, 2.0), t: float = 0.25,
     tolerance.
     """
     from scipy.integrate import quad
+    t = 0.25
     rows = []
     for k in k_values:
         radius = 8.0 * np.sqrt(t / k)
@@ -599,26 +591,23 @@ def gaussian_mass_check(k_values=(0.5, 1.0, 2.0), t: float = 0.25,
                        limit=200)
         rel = abs(mass - 1.0 / k) * k
         rows.append([float(k), float(mass), float(rel),
-                     "pass" if rel <= rel_tol else "fail"])
+                     "pass" if rel <= 1e-6 else "fail"])
     return CheckTable(name="gaussian_mass",
                       header=["k", "ball_mass", "relative_error", "verdict"],
                       rows=rows)
 
 
-def fixed_point_preset(n: int = 4, nt: int = 8, horizon: float = 0.5,
-                       k: float = 1.0, load_factor: float = 0.5,
-                       seed: int = 0):
+def fixed_point_preset(n: int = 4, nt: int = 8):
     """Admissible nonlinear preset on the rank-3 quotient.
 
     Returns (context, forcing, constants): the body force is a vector bump
-    scaled to ``load_factor`` times the closed-form smallness bound for the
-    measured constants.
+    scaled to half the closed-form smallness bound for the constants
+    measured at seed 0.
     """
-    ctx = next(_study_contexts([(n, nt)], horizon, k, _FLAT_TORUS))
-    c1, c2 = estimate_constants(ctx, seed=seed)
+    ctx = next(_study_contexts([(n, nt)], _FLAT_TORUS))
+    c1, c2 = estimate_constants(ctx, seed=0)
     base = vector_bump_field(ctx.domain.grid)
-    scale = (load_factor * _forcing_bound(c1, c2)
-             / discrete_norm(base, "L2"))
+    scale = 0.5 * _forcing_bound(c1, c2) / discrete_norm(base, "L2")
     return ctx, base * scale, (c1, c2)
 
 
@@ -657,20 +646,18 @@ def fixed_point_run() -> FixedPointRun:
 
 
 def quasi_periodicity_check(spec: LatticeSpec, params: KernelParams,
-                            t: float = 0.5, tol: float = 1e-10,
-                            n_points: int = 8, seed: int = 5) -> CheckTable:
-    """Unit-translation sign law of the periodized kernel per generator."""
-    rng = np.random.default_rng(seed)
-    points = _random_points(rng, n_points)
+                            tol: float = 1e-10) -> CheckTable:
+    """Unit-translation sign law of the periodized kernel per generator, at
+    t = 0.5 on 8 points of seed 5."""
     rows = []
-    for x in points:
-        base, tail0, _ = periodized_solution_batch(x[None, :], t, params,
+    for x in _random_points(np.random.default_rng(5), 8):
+        base, tail0, _ = periodized_solution_batch(x[None, :], 0.5, params,
                                                    spec, tol)
         for j in range(spec.rank):
             shifted = x.copy()
             shifted[j] += 1.0
             moved, tail1, _ = periodized_solution_batch(
-                shifted[None, :], t, params, spec, tol)
+                shifted[None, :], 0.5, params, spec, tol)
             sign = -1.0 if spec.anti_flags[j] else 1.0
             diff = float(np.linalg.norm(moved[0] - sign * base[0]))
             allowed = 2.0 * (tail0 + tail1)

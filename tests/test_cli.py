@@ -486,6 +486,40 @@ class TestCommands:
                 "both give the forcing" in capsys.readouterr().err)
         assert not (tmp_path / "artifacts").exists()
 
+    def test_solve_refuses_grid_above_pressure_cap_exit_2(
+            self, tmp_path, capsys, no_calibration):
+        # the 8^3 x 8 torus used to calibrate and then exit 3 as a numerical
+        # failure; constants builds no pressure system and accepts it
+        from wittflow.solver import MAX_PRESSURE_CELLS
+        cfg = write_config(tmp_path, **{"grid.h": "0.125",
+                                        "grid.dt": "0.0625"})
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the grid of grid.h = 0.125 and grid.dt = "
+            "0.0625 has 4096 cells; the dense pressure solve takes at most "
+            f"solver.MAX_PRESSURE_CELLS = {MAX_PRESSURE_CELLS}\n")
+        assert not (tmp_path / "artifacts").exists()
+        assert cli.main(["constants", "--config", cfg]) == 3
+        assert "calibrated before the refusal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [True, False],
+                             ids=["--output", "output.dir"])
+    def test_solve_refuses_output_dir_it_cannot_create_exit_2(
+            self, tmp_path, flag, capsys, no_calibration):
+        # a file in the way used to fail only after the whole solve, as a
+        # numerical failure (exit 3)
+        blocker = tmp_path / "artifacts"
+        blocker.write_text("not a directory\n")
+        cfg = write_config(tmp_path)
+        argv = ["solve", "--config", cfg]
+        argv += ["--output", str(blocker)] if flag else []
+        assert cli.main(argv) == 2
+        name = "--output" if flag else "output.dir"
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: bad {name}: ")
+        assert "File exists" in err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_diverged_solve_exit_3_drops_stale_solution(
             self, tmp_path, capsys, monkeypatch):
         # a diverged run used to leave an older run's solution.csv beside
@@ -606,6 +640,17 @@ class TestCheck:
             assert [line.split("=")[0] for line in record[:3]] == [
                 "fd_power", "sign", "factorization_power"]
             assert len(record) == 7
+
+    def test_output_dir_it_cannot_create_exit_2(self, tmp_path, capsys):
+        # used to exit 3 as a numerical failure
+        blocker = tmp_path / "out"
+        blocker.write_text("")
+        assert cli.main(["check", "--suite", "algebra",
+                         "--output", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: bad --output: ")
+        assert "File exists" in captured.err
+        assert not captured.out
 
     def test_failed_calibration_is_reported(self, tmp_path, capsys,
                                             monkeypatch):

@@ -22,14 +22,20 @@ class TestGridValidation:
             SpaceTimeGrid(h=0.0, dt=0.1, dims=(4, 4, 4), nt=4)
 
     @pytest.mark.parametrize("field, value", [
-        ("h", np.inf), ("h", np.nan), ("dt", np.inf), ("dt", np.nan),
-        ("t0", np.inf), ("t0", -np.inf), ("t0", np.nan)])
+        ("h", np.inf), ("h", np.nan), ("dt", np.inf), ("dt", np.nan)])
     def test_refuses_non_finite(self, field, value):
-        # h = inf and t0 = nan used to be accepted
-        settings = dict(h=0.25, dt=0.1, dims=(4, 4, 4), nt=4, t0=0.0)
+        # h = inf used to be accepted
+        settings = dict(h=0.25, dt=0.1, dims=(4, 4, 4), nt=4)
         settings[field] = value
         with pytest.raises(ValueError, match="finite"):
             SpaceTimeGrid(**settings)
+
+    def test_initial_time_is_zero_and_not_settable(self):
+        # the benchmark's forcing reads grid.t0; no builder sets it
+        grid = SpaceTimeGrid(h=0.25, dt=0.1, dims=(4, 4, 4), nt=4)
+        assert grid.t0 == 0.0
+        with pytest.raises(TypeError):
+            SpaceTimeGrid(h=0.25, dt=0.1, dims=(4, 4, 4), nt=4, t0=0.0)
 
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):

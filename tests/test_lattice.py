@@ -40,7 +40,7 @@ class TestShells:
         for rank in range(4):
             spec = LatticeSpec(rank, (False,) * rank)
             shell = shell_points(0, spec)
-            assert np.array_equal(shell.points, [[0, 0, 0]])
+            assert np.array_equal(shell, [[0, 0, 0]])
 
     def test_rank3_cardinality_formula(self):
         for m in range(1, 11):
@@ -51,7 +51,7 @@ class TestShells:
         spec = LatticeSpec(1, (False,))
         shell = shell_points(1, spec)
         assert len(shell) == 2
-        assert sorted(map(tuple, shell.points)) == [(-1, 0, 0), (1, 0, 0)]
+        assert sorted(map(tuple, shell)) == [(-1, 0, 0), (1, 0, 0)]
 
     def test_low_rank_exhaustive(self):
         # full enumeration oracle, independent of the shell generator; the
@@ -59,7 +59,7 @@ class TestShells:
         for rank in (1, 2, 3):
             spec = LatticeSpec(rank, (False,) * rank)
             for m in range(11):
-                got = shell_points(m, spec).points
+                got = shell_points(m, spec)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, lexicographic_shell(m, rank))
 
@@ -67,7 +67,7 @@ class TestShells:
         assert len(shell_points(3, LatticeSpec())) == 0
 
     def test_lexicographic_order(self):
-        pts = shell_points(1, RANK3).points
+        pts = shell_points(1, RANK3)
         assert np.array_equal(pts, sorted(map(tuple, pts)))
 
 
@@ -120,7 +120,7 @@ class TestTailBound:
         partial = np.zeros((5, 7))
         for m in range(7):
             shell = shell_points(m, RANK3)
-            shifted = points[:, None, :] + shell.points[None, :, :]
+            shifted = points[:, None, :] + shell[None, :, :]
             from wittflow.kernels import fundamental_solution_array
             partial += fundamental_solution_array(
                 shifted, np.full(shifted.shape[:-1], t), 1.0).sum(axis=1)

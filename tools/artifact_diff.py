@@ -10,15 +10,18 @@ with its own ``src`` on ``PYTHONPATH``, and ``solution.csv``,
 byte for byte, and so are the stdout and exit code of ``wittflow
 --threads 1 constants`` on the same config and seed.  Each tree also runs
 ``wittflow --threads 1 check --suite all``, whose exit code, stdout and
-every file it writes are compared by name and bytes.  Prints one line per
-workload and seed for the solve, one for the constants and one for the
-check; exits 1 if any of them differs.  Each line also reports both runs'
+every file it writes are compared by name and bytes, and ``wittflow
+--threads 1 kernel`` for each call of ``KERNEL_CALLS``, whose stdout and
+exit code are compared.  Prints one line per workload and seed for the
+solve, one for the constants, one for the check and one per kernel call;
+exits 1 if any of them differs.  Each line also reports both runs'
 peak RSS (the child's own, from ``os.wait4``), for information only: it
 never counts as a difference.  Both trees' ``src`` are first copied to
 temporary paths of equal length, since the peak RSS moves by up to about
 1 MiB with the length of the path the package is imported from.  A run of
 all three workloads at one seed takes about 30 s per tree on one core, the
-constants about 10 s and the check about 25 s.
+constants about 10 s, the check about 25 s and the kernel calls about
+2 s.
 """
 
 from __future__ import annotations
@@ -38,6 +41,18 @@ import workloads  # noqa: E402
 
 # The key of a run's peak RSS, which is reported but not compared.
 PEAK_RSS = "peak RSS"
+
+# The ``wittflow kernel`` calls compared: the plain kernel, shell sums to
+# the default tolerance, a fixed shell count, a rank-1 sum, and a singular
+# point (a lattice translate of the origin at t = 0), which exits 3.
+_POINT = ("--point", "0.3,-0.2,0.1", "--time", "0.5", "--k", "1.5")
+KERNEL_CALLS = (
+    _POINT,
+    (*_POINT, "--lattice", "3,true,true,true"),
+    (*_POINT, "--lattice", "3", "--shells", "2"),
+    (*_POINT, "--lattice", "1"),
+    ("--point", "1,0,0", "--time", "0", "--k", "1.5", "--lattice", "1"),
+)
 
 
 def run_wittflow(tree: Path, out: Path, *args: str) -> dict:
@@ -105,8 +120,8 @@ def copy_src(tree: Path, dest: Path) -> Path:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="compare the solve and check artifacts of two source "
-                    "trees")
+        description="compare the solve, constants, check and kernel output "
+                    "of two source trees")
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
@@ -130,6 +145,11 @@ def main(argv=None) -> int:
         differ |= report("check --suite all",
                          run_check(old_tree, work / "old" / "out"),
                          run_check(new_tree, work / "new" / "out"))
+        for call in KERNEL_CALLS:
+            differ |= report(
+                "kernel " + " ".join(call),
+                run_wittflow(old_tree, work / "old", "kernel", *call),
+                run_wittflow(new_tree, work / "new", "kernel", *call))
     return 1 if differ else 0
 
 
