@@ -119,6 +119,7 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
                      "positive and finite")
 _finite = _checked(float, math.isfinite, "finite")
 _count = _checked(int, lambda v: v >= 1, "at least 1")
+_seed = _checked(int, lambda v: v >= 0, "at least 0")
 _point = _three(_finite)
 
 
@@ -257,15 +258,16 @@ def _residual_rows(report) -> list[str]:
 
 def _set_up(cfg: RunConfig, output: tuple[Path, str] | None = None):
     """Calibrated convention, context and forcing of a run.  Refused before
-    the calibration: a forcing CSV that does not fit the grid, and for a
-    solve (``output``: its directory and the flag or key naming it) a grid
-    above the pressure cap or a directory that cannot be created."""
+    the calibration: a forcing CSV that does not fit the grid or is not a
+    pure e-vector field, and for a solve (``output``: its directory and the
+    flag or key naming it) a grid above the pressure cap or a directory that
+    cannot be created."""
     from . import verify
     from .domain import Field, build_quotient_domain, load_field_csv
     from .kernels import KernelParams
     from .lattice import LatticeSpec
     from .potentials import OperatorContext
-    from .solver import MAX_PRESSURE_CELLS
+    from .solver import MAX_PRESSURE_CELLS, _check_vector
     domain = build_quotient_domain(LatticeSpec(cfg.rank, cfg.anti_flags),
                                    cfg.extent[cfg.rank:], cfg.horizon,
                                    cfg.h, cfg.dt)
@@ -278,6 +280,7 @@ def _set_up(cfg: RunConfig, output: tuple[Path, str] | None = None):
     if cfg.forcing_csv is not None:
         try:
             f = load_field_csv(cfg.forcing_csv, domain.grid)
+            _check_vector(f, "forcing")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad value for forcing.csv: {exc}") from exc
     if output is not None:
@@ -296,7 +299,10 @@ def cmd_solve(args) -> int:
     from .domain import export_solution_csv
     from .solver import (NavierStokesProblem, SolverDivergence,
                          fixed_point_solve, solve_linear)
-    if args.tol is not None and _bad_flag([("--tol", args.tol, _positive)]):
+    flags = [("--seed", args.seed, _seed)]
+    if args.tol is not None:
+        flags.append(("--tol", args.tol, _positive))
+    if _bad_flag(flags):
         return 2
     cfg = load_config(args.config)
     if args.tol is not None and cfg.mode == "linear":
@@ -343,6 +349,8 @@ def cmd_solve(args) -> int:
 def cmd_constants(args) -> int:
     from .domain import discrete_norm
     from .solver import convergence_check, estimate_constants
+    if _bad_flag([("--seed", args.seed, _seed)]):
+        return 2
     ctx, forcing = _set_up(load_config(args.config))
     c1, c2 = estimate_constants(ctx, seed=args.seed)
     f_norm = discrete_norm(forcing, "L2")

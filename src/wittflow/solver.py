@@ -81,9 +81,7 @@ class NavierStokesProblem:
     def __post_init__(self):
         if self.forcing.grid != self.ctx.domain.grid:
             raise ValueError("forcing does not live on the context domain")
-        witt = self.forcing.values[..., [0, 4, 5, 6]]
-        if np.any(witt != 0.0):
-            raise ValueError("forcing must be a pure e-vector field")
+        _check_vector(self.forcing, "forcing")
         n_cells = self.ctx.domain.grid.n_cells
         if n_cells > MAX_PRESSURE_CELLS:
             raise ValueError(
@@ -128,10 +126,15 @@ class SolverReport:
                 f"iterations={self.iterations} final_residual={fmt(final)}")
 
 
+def _check_vector(u: Field, what: str) -> None:
+    """Refuse ``u``, named ``what``, unless it is a pure e-vector field."""
+    if np.any(u.values[..., [0, 4, 5, 6]] != 0.0):
+        raise ValueError(f"{what} must be a pure e-vector field")
+
+
 def convective_term(u: Field) -> Field:
     """(u grad) u: scalar advection applied to each velocity component."""
-    if np.any(u.values[..., [0, 4, 5, 6]] != 0.0):
-        raise ValueError("convective term expects a pure e-vector field")
+    _check_vector(u, "velocity")
     g = u.grid
     vel = u.values[..., 1:4]
     out = np.zeros_like(u.values)
@@ -188,102 +191,72 @@ def _sweep(ctx: OperatorContext, g: Field) -> tuple[Field, Field]:
 
 def solve_linear(prob: NavierStokesProblem):
     """The Stokes solve: one sweep from rest, bitwise the first sweep of
-    ``fixed_point_solve`` without ``u0``.  Returns (velocity, zero-mean
-    pressure, report)."""
+    ``fixed_point_solve``.  Returns (velocity, zero-mean pressure, report)."""
     u, p = _sweep(prob.ctx, prob.forcing)
     return u, p, SolverReport(residual_history=[discrete_norm(u, "W11")])
 
 
-def fixed_point_solve(prob: NavierStokesProblem, u0: Field | None = None,
-                      max_iter: int = 50, tol: float = 1e-8,
+def fixed_point_solve(prob: NavierStokesProblem, max_iter: int = 50,
+                      tol: float = 1e-8,
                       constants: tuple[float, float] | None = None,
                       seed: int = 0):
-    """Sweeps with the effective forcing ``f - (u grad) u`` of the previous
-    iterate; from rest the first one is ``solve_linear``.  Stops after
+    """Sweeps from rest with the effective forcing ``f - (u grad) u`` of the
+    previous iterate, so the first one is ``solve_linear``.  Stops after
     ``max_iter >= 1`` sweeps or once the first-order Sobolev increment is
     below ``tol >= 0`` (0 runs them all; a bad setting raises ``ValueError``
     before any work).  Three consecutive increment growths raise
-    ``SolverDivergence``, the partial report riding on it.
+    ``SolverDivergence``, the partial report riding on it; convergence in
+    the same sweep wins.
 
-    The contraction constants enter only the report's verdict, so they are
-    estimated (unless given) after the last sweep: the pressure system's
-    SVD, the solve's largest transient, then no longer sits on top of the
-    estimate's memory.  A failure of the estimate itself (a vanishing
-    composite, a stalled Lanczos iteration, degenerate C2 sampling) thus
-    raises after the sweeps, and in place of ``SolverDivergence``.
+    The contraction constants (``constants``, or else estimated from
+    ``seed``) enter only the report's verdict, judged from rest as
+    ``wittflow constants`` judges it.  So they are estimated after the last
+    sweep: the pressure system's SVD, the solve's largest transient, then
+    no longer sits on top of the estimate's memory.  A failure of the
+    estimate itself (a vanishing composite, a stalled Lanczos iteration,
+    degenerate C2 sampling) thus raises after the sweeps, and in place of
+    ``SolverDivergence``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    ctx = prob.ctx
-    grid = ctx.domain.grid
-    warnings = []
-    if u0 is None:
-        u = Field.zeros(grid)
-    else:
-        if u0.grid != grid:
-            raise ValueError("initial iterate does not live on the context "
-                             "domain")
-        vals = u0.values.copy()
-        if np.any(vals[..., [0, 4, 5, 6]] != 0.0):
-            vals[..., [0, 4, 5, 6]] = 0.0
-            warnings.append("initial iterate projected onto e-vector fields")
-        u = Field(vals, grid)
-
+    u = Field.zeros(prob.ctx.domain.grid)
     history: list[float] = []
-    converged = False
     growths = 0
     for _ in range(max_iter):
-        u_next, p = _sweep(ctx, prob.forcing - convective_term(u))
+        u_next, p = _sweep(prob.ctx, prob.forcing - convective_term(u))
         step = discrete_norm(u_next - u, "W11")
-        if history and step > history[-1]:
-            growths += 1
-        else:
-            growths = 0
+        growths = growths + 1 if history and step > history[-1] else 0
         history.append(step)
         u = u_next
-        if step < tol:
-            converged = True
+        converged = step < tol
+        if converged or growths >= 3:
             break
-        if growths >= 3:
-            raise SolverDivergence(
-                "fixed-point residual grew three consecutive iterations",
-                _diagnosed_report(prob, history, constants, seed, u0, False,
-                                  warnings))
+    diverged = growths >= 3 and not converged
 
-    if not converged:
-        warnings.append("iteration cap reached before the tolerance")
-    return u, p, _diagnosed_report(prob, history, constants, seed, u0,
-                                   converged, warnings)
-
-
-def _diagnosed_report(prob, history, constants, seed, u0, converged,
-                      warnings) -> SolverReport:
-    """Report of a fixed-point run, with the constants ``constants`` or, if
-    None, estimated here from ``seed``: only once the sweeps are done."""
     if constants is None:
         constants = estimate_constants(prob.ctx, seed=seed)
     else:
         constants = ContractionConstants(*constants, None, None)
     c1, c2 = constants
-    f_norm = discrete_norm(prob.forcing, "L2")
-    u0_norm = 0.0 if u0 is None else discrete_norm(u0, "W11")
-    admissible, w_const, l_const = convergence_check(c1, c2, f_norm, u0_norm)
-    if not converged:
-        admissible = False
-    warnings = list(warnings)
+    admissible, w_const, l_const = convergence_check(
+        c1, c2, discrete_norm(prob.forcing, "L2"), 0.0)
+    warnings = []
+    if not (converged or diverged):
+        warnings.append("iteration cap reached before the tolerance")
     if w_const is None:
         warnings.append("forcing exceeds the admissibility bound; no "
                         "convergence guarantee")
-    return SolverReport(
-        residual_history=list(history),
-        C1=c1, C2=c2, W=w_const, L=l_const,
-        C1_steps=constants.c1_steps, C1_residual=constants.c1_residual,
-        admissible=admissible,
-        converged=converged,
-        warnings=warnings,
-    )
+    report = SolverReport(
+        residual_history=history, C1=c1, C2=c2, W=w_const, L=l_const,
+        admissible=converged and admissible, converged=converged,
+        warnings=warnings, C1_steps=constants.c1_steps,
+        C1_residual=constants.c1_residual)
+    if diverged:
+        raise SolverDivergence(
+            "fixed-point residual grew three consecutive iterations", report)
+    return u, p, report
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,39 @@ class TestCommands:
             "at the grid's node x,y,z,t = 0.125,0.125,0.125,0.0625")
         assert not (tmp_path / "artifacts").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "constants"])
+    def test_refuses_forcing_csv_that_is_not_a_vector_field_exit_2(
+            self, tmp_path, command, capsys, no_calibration):
+        # a scalar part (s = 1) used to pass set-up: the solve created its
+        # output directory, calibrated, and exited 3 as a numerical failure
+        from wittflow.domain import build_quotient_domain, export_field_csv
+        from wittflow.lattice import LatticeSpec
+        from wittflow.verify import vector_bump_field
+        f = vector_bump_field(build_quotient_domain(
+            LatticeSpec(3, (False,) * 3), [], 0.5, 0.25, 0.125).grid)
+        f.values[..., 0] = 1.0
+        csv = tmp_path / "forcing.csv"
+        export_field_csv(f, csv)
+        cfg = write_config(tmp_path, CSV_CONFIG, **{"forcing.csv": csv})
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: bad value for forcing.csv: forcing must "
+            "be a pure e-vector field\n") and not captured.out
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "constants"])
+    def test_refuses_negative_seed_exit_2(self, tmp_path, command, capsys,
+                                          no_calibration):
+        # a nonlinear solve used to run every sweep, and constants to
+        # calibrate, before numpy refused the seed as a numerical failure
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear"})
+        assert cli.main([command, "--config", cfg, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "bad --seed: must be at least 0, got -1\n"
+        assert not captured.out
+        assert not (tmp_path / "artifacts").exists()
+
     @pytest.mark.parametrize("preset", ["vector_bump", "no_such_preset"])
     def test_solve_refuses_forcing_preset_beside_csv_exit_2(
             self, tmp_path, preset, capsys, no_calibration):

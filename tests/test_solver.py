@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -452,24 +450,6 @@ class TestFixedPoint:
         for a, b in zip(norms[1:], norms[2:]):
             assert b <= a + 1e-10
 
-    def test_projected_initial_iterate_warns(self, small_ctx, constants):
-        g = small_ctx.domain.grid
-        u0 = Field.zeros(g)
-        u0.values[..., 0] = 1.0
-        f = verify.vector_bump_field(g) * 1e-3
-        _, _, report = fixed_point_solve(NavierStokesProblem(small_ctx, f),
-                                         u0=u0, max_iter=5, tol=1e-10,
-                                         constants=constants)
-        assert any("projected" in w for w in report.warnings)
-
-    def test_foreign_initial_iterate_rejected(self, small_ctx, constants):
-        g = small_ctx.domain.grid
-        other = dataclasses.replace(g, dt=2.0 * g.dt)
-        prob = NavierStokesProblem(small_ctx, Field.zeros(g))
-        with pytest.raises(ValueError, match="initial iterate"):
-            fixed_point_solve(prob, u0=Field.zeros(other), max_iter=1,
-                              constants=constants)
-
     def test_divergence_detection(self, small_ctx, constants):
         base = verify.vector_bump_field(small_ctx.domain.grid)
         f = base * (1e6 / discrete_norm(base, "L2"))
@@ -479,6 +459,12 @@ class TestFixedPoint:
         report = err.value.report
         assert len(report.residual_history) >= 4
         assert not report.converged
+        # the report of a diverged run carries the given constants' verdict,
+        # the bound warning of a forcing above it, and no cap warning
+        assert report.admissible is False
+        assert (report.C1, report.C2) == constants
+        assert not any("cap" in w for w in report.warnings)
+        assert any("admissibility bound" in w for w in report.warnings)
 
     def test_iteration_cap_flag(self, small_ctx, constants):
         f = verify.vector_bump_field(small_ctx.domain.grid) * 0.05

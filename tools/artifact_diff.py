@@ -5,16 +5,19 @@
 For every benchmark workload (``perfbench/workloads.py``) and seed, the
 config and forcing are written once with ``workloads.prepare``.  Each tree
 then runs ``wittflow --threads 1 solve`` on them in a fresh interpreter
-with its own ``src`` on ``PYTHONPATH``, and ``solution.csv``,
-``residuals.csv``, ``summary.txt``, stdout and the exit code are compared
-byte for byte, and so are the stdout and exit code of ``wittflow
---threads 1 constants`` on the same config and seed.  Each tree also runs
-``wittflow --threads 1 check --suite all``, whose exit code, stdout and
-every file it writes are compared by name and bytes, and ``wittflow
---threads 1 kernel`` for each call of ``KERNEL_CALLS``, whose stdout and
-exit code are compared.  Prints one line per workload and seed for the
-solve, one for the constants, one for the check and one per kernel call;
-exits 1 if any of them differs.  Each line also reports both runs'
+with its own ``src`` on ``PYTHONPATH``, and ``solution.csv`` (or its
+absence), ``residuals.csv``, ``summary.txt``, stdout, stderr and the exit
+code are compared byte for byte, and so are the stdout, stderr and exit
+code of ``wittflow --threads 1 constants`` on the same config and seed.
+The solve of the fixed config ``DIVERGING``, whose fixed point diverges
+and exits 3, is compared the same way at each seed.  Each tree also runs
+``wittflow --threads 1 check --suite all``, whose exit code, stdout,
+stderr and every file it writes are compared by name and bytes, and
+``wittflow --threads 1 kernel`` for each call of ``KERNEL_CALLS``, whose
+stdout, stderr and exit code are compared.  Prints one line per workload
+and seed for the solve, one for the constants, one per seed for the
+diverging solve, one for the check and one per kernel call; exits 1 if
+any of them differs.  Each line also reports both runs'
 peak RSS (the child's own, from ``os.wait4``), for information only: it
 never counts as a difference.  Both trees' ``src`` are first copied to
 temporary paths of equal length, since the peak RSS moves by up to about
@@ -54,22 +57,32 @@ KERNEL_CALLS = (
     ("--point", "1,0,0", "--time", "0", "--k", "1.5", "--lattice", "1"),
 )
 
+# The torus_p_fixed_point torus driven by the vector_bump preset far above
+# the admissibility bound: the sweeps take the divergence exit after 13, so
+# the solve exits 3 and writes residuals.csv and summary.txt but no
+# solution.
+DIVERGING = {**workloads.config_values("torus_p_fixed_point"),
+             "forcing.preset": "vector_bump", "forcing.scale": "1e7",
+             "solver.max_iter": "40", "solver.tol": "1e-12"}
+
 
 def run_wittflow(tree: Path, out: Path, *args: str) -> dict:
-    """Stdout and exit code of ``wittflow --threads 1 ARGS`` under
+    """Stdout, stderr and exit code of ``wittflow --threads 1 ARGS`` under
     ``tree``, run from the parent of ``out``, and the child's peak RSS in
     MiB under the key ``PEAK_RSS``."""
     out.parent.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    with tempfile.TemporaryFile() as stdout:
+    with tempfile.TemporaryFile() as stdout, \
+            tempfile.TemporaryFile() as stderr:
         proc = subprocess.Popen(
             [sys.executable, "-m", "wittflow.cli", "--threads", "1", *args],
-            env=env, cwd=out.parent, stdout=stdout,
-            stderr=subprocess.DEVNULL)
+            env=env, cwd=out.parent, stdout=stdout, stderr=stderr)
         _, status, rusage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         stdout.seek(0)
-        return {"stdout": stdout.read(), "exit code": proc.returncode,
+        stderr.seek(0)
+        return {"stdout": stdout.read(), "stderr": stderr.read(),
+                "exit code": proc.returncode,
                 PEAK_RSS: rusage.ru_maxrss / 1024.0}   # ru_maxrss is in KiB
 
 
@@ -84,13 +97,15 @@ def run_tree(tree: Path, config: Path, out: Path, seed: int) -> dict:
 
 
 def run_constants(tree: Path, config: Path, out: Path, seed: int) -> dict:
-    """Stdout and exit code of one ``constants`` run under ``tree``."""
+    """Stdout, stderr and exit code of one ``constants`` run under
+    ``tree``."""
     return run_wittflow(tree, out, "constants", "--config", str(config),
                         "--seed", str(seed))
 
 
 def run_check(tree: Path, out: Path) -> dict:
-    """Stdout, exit code and every file of ``check --suite all``."""
+    """Stdout, stderr, exit code and every file of ``check --suite
+    all``."""
     got = run_wittflow(tree, out, "check", "--suite", "all",
                        "--output", str(out))
     if out.is_dir():
@@ -141,6 +156,16 @@ def main(argv=None) -> int:
                     f"{name} seed {seed} constants",
                     run_constants(old_tree, config, work / "old", seed),
                     run_constants(new_tree, config, work / "new", seed))
+        config = Path(tmp) / "diverging" / "run.cfg"
+        config.parent.mkdir()
+        config.write_text("".join(f"{key} = {value}\n"
+                                  for key, value in DIVERGING.items()))
+        for seed in args.seeds:
+            work = config.parent / f"seed-{seed}"
+            differ |= report(
+                f"diverging seed {seed}",
+                run_tree(old_tree, config, work / "old", seed),
+                run_tree(new_tree, config, work / "new", seed))
         work = Path(tmp) / "check"
         differ |= report("check --suite all",
                          run_check(old_tree, work / "old" / "out"),
