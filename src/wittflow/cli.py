@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 
 
@@ -23,28 +23,6 @@ class ConfigError(ValueError):
 
 
 _PRESETS = ("zero", "vector_bump", "divergence_free", "manufactured")
-
-
-@dataclass
-class RunConfig:
-    """Validated run configuration; every physical parameter is explicit."""
-
-    kind: str
-    extent: tuple[float, float, float]
-    rank: int
-    anti_flags: tuple[bool, ...]
-    h: float
-    dt: float
-    horizon: float
-    k: float
-    forcing_preset: str
-    forcing_csv: str | None
-    forcing_scale: float
-    mode: str
-    max_iter: int
-    tol: float
-    quad_tol: float
-    output_dir: str
 
 
 def _parse_lines(path: str) -> dict[str, tuple[str, int]]:
@@ -152,6 +130,12 @@ _SCHEMA = {
     "quad.tol": ("quad_tol", _positive, 1e-10),
     "output.dir": ("output_dir", str, "out"),
 }
+
+RunConfig = make_dataclass(
+    "RunConfig", [field for field, _, _ in _SCHEMA.values()],
+    namespace={"__doc__": "Validated run configuration, one field per key "
+               "of ``_SCHEMA``; every physical parameter is explicit.",
+               "__module__": __name__})
 
 
 def load_config(path: str) -> RunConfig:
@@ -261,7 +245,7 @@ def _set_up(cfg: RunConfig, output: tuple[Path, str] | None = None):
     the calibration: a forcing CSV that does not fit the grid or is not a
     pure e-vector field, and for a solve (``output``: its directory and the
     flag or key naming it) a grid above the pressure cap or a directory that
-    cannot be created."""
+    cannot be created; an older run's artifacts there are removed."""
     from . import verify
     from .domain import Field, build_quotient_domain, load_field_csv
     from .kernels import KernelParams
@@ -284,7 +268,9 @@ def _set_up(cfg: RunConfig, output: tuple[Path, str] | None = None):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad value for forcing.csv: {exc}") from exc
     if output is not None:
-        _make_dir(*output)
+        out_dir = _make_dir(*output)
+        for name in ("solution.csv", "residuals.csv", "summary.txt"):
+            (out_dir / name).unlink(missing_ok=True)
     verify.ensure_convention()
     ctx = OperatorContext(domain, KernelParams(cfg.k), quad_tol=cfg.quad_tol)
     presets = {"zero": Field.zeros, "vector_bump": verify.vector_bump_field,
@@ -330,8 +316,6 @@ def cmd_solve(args) -> int:
 
     if u is not None:
         export_solution_csv(u, p, out_dir / "solution.csv")
-    else:   # no older run's solution beside this run's artifacts
-        (out_dir / "solution.csv").unlink(missing_ok=True)
     _write_text(out_dir / "residuals.csv", _residual_rows(report))
     _write_text(out_dir / "summary.txt", [report.summary()])
     for warning in report.warnings:
@@ -421,11 +405,7 @@ def _algebra_checks():
 
 def _kernel_checks():
     from . import verify
-    try:
-        record = verify.calibrate_convention()
-    except RuntimeError as exc:
-        yield "kernel_calibration", False, {"calibration.txt": [str(exc)]}
-        return
+    record = verify.ensure_convention()
     yield "kernel_calibration", True, {"calibration.txt": [
         f"fd_power={record.fd_power}", f"sign={record.sign:+d}",
         f"factorization_power={record.factorization_power}"] + [
@@ -481,7 +461,8 @@ def _calibrated(suite: str, checks):
 
 
 # Suite -> its checks in order, each ``(label, passed, {file: lines})``.
-_CHECKS = {"algebra": _algebra_checks, "kernel": _kernel_checks,
+_CHECKS = {"algebra": _algebra_checks,
+           "kernel": _calibrated("kernel", _kernel_checks),
            "lattice": _lattice_checks,
            "operators": _calibrated("operators", _operator_checks),
            "solver": _calibrated("solver", _solver_checks)}

@@ -173,9 +173,6 @@ class Field:
         out[..., 1:4] = values
         return cls(out, grid)
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.grid)
-
     def scalar(self) -> np.ndarray:
         return self.values[..., 0]
 
@@ -215,9 +212,8 @@ class Domain:
     b_time: np.ndarray          # (nb,)
     b_weight: np.ndarray        # (nb,)
     b_conormal: np.ndarray      # (nb, 7)
-    b_kind: np.ndarray          # (nb,) small ints: 0 lateral, 1 cap0, 2 capT
-    b_axis: np.ndarray          # (nb,)
-    b_side: np.ndarray          # (nb,)
+    b_axis: np.ndarray          # (nb,) 0-2 lateral (normal axis), 3 cap
+    b_side: np.ndarray          # (nb,) 0 lower or initial, 1 upper or terminal
     # Second-order one-sided interpolation stencil for the trace operator:
     # value at centroid ~ 1.5 * field[near] - 0.5 * field[next].
     b_near: np.ndarray          # (nb, 4) cell multi-indices
@@ -228,10 +224,10 @@ class Domain:
         return len(self.b_weight)
 
     def lateral_area(self) -> float:
-        return float(np.sum(self.b_weight[self.b_kind == 0]))
+        return float(np.sum(self.b_weight[self.b_axis < 3]))
 
     def cap_area(self) -> float:
-        return float(np.sum(self.b_weight[self.b_kind != 0]))
+        return float(np.sum(self.b_weight[self.b_axis == 3]))
 
 
 def _cells_to_count(extent: float, h: float, label: str) -> int:
@@ -283,7 +279,6 @@ def _build_domain(grid: SpaceTimeGrid) -> Domain:
                 ("b_time", where[:, 3]),
                 ("b_weight", np.full(n, weight)),
                 ("b_conormal", np.tile(conormal, (n, 1))),
-                ("b_kind", np.full(n, (1 + side) * (axis == 3))),
                 ("b_axis", np.full(n, axis)),
                 ("b_side", np.full(n, side)),
                 ("b_near", near), ("b_next", nxt)):

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import LatticeSpec
-from .kernels import (KernelParams, SpaceTimePoint, _check_not_singular,
-                      _kernel_terms, _time_factors,
+from .kernels import (UNDERFLOW_EXPONENT, KernelParams, SpaceTimePoint,
+                      _check_not_singular, _kernel_terms, _time_factors,
                       fundamental_solution_array)
 
 __all__ = [
@@ -86,7 +86,7 @@ def _tail_term(m: np.ndarray, r: float, t: float, k: float) -> np.ndarray:
     bracket = (k * (r + m) / (2.0 * t) + 3.0 / (2.0 * t)
                + k * (r + m) ** 2 / (4.0 * t * t) + k)
     expo = -k * (m - r) ** 2 / (4.0 * t)
-    gauss = np.where(expo >= -700.0, np.exp(expo), 0.0)
+    gauss = np.where(expo >= UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
     return pref * card * bracket * gauss
 
 

@@ -579,7 +579,7 @@ def _active_mask(ctx: OperatorContext) -> np.ndarray:
     def build():
         d = ctx.domain
         live = np.any(mul_matrix(d.b_conormal) != 0.0, axis=-2)
-        last = d.grid.nt - 1 - (d.b_kind == 0)
+        last = d.grid.nt - 1 - (d.b_axis < 3)
         return live & (d.b_near[:, 3] < last)[:, None]
     return ctx._cached("active_mask", build)
 

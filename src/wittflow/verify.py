@@ -413,12 +413,9 @@ def volume_reproduction_study(base: StudyResult) -> StudyResult:
     ``ffd``).  Reads the companion residuals that ``borel_pompeiu_study``
     records in the extras of ``base``.
     """
-    rows = base.extras["reproducer_levels"]
-    order = base.extras["reproducer_order"]
-    name = base.name.replace("borel_pompeiu", "volume_reproduction")
-    return StudyResult(name=name, levels=rows, fitted_order=order,
-                       passed=order >= 1.0, threshold_order=1.0,
-                       extras={"identity_levels": base.levels})
+    return _fitted(base.name.replace("borel_pompeiu", "volume_reproduction"),
+                   base.extras["reproducer_levels"], 1.0,
+                   identity_levels=base.levels)
 
 
 def hodge_study(levels=((4, 10), (5, 14), (6, 18)),

@@ -580,6 +580,27 @@ class TestCommands:
         assert (out / "residuals.csv").read_text() == (
             "iter,residual\n1,1\n2,2\n3,4\n4,8\n")
 
+    def test_failed_solve_exit_3_leaves_no_older_artifacts(
+            self, tmp_path, capsys, monkeypatch):
+        # a solve that failed after the sweeps used to leave an older run's
+        # solution, residuals and summary as if they were its own
+        from wittflow import solver
+
+        def fail(prob, **kwargs):
+            raise RuntimeError("the velocity composite vanished on this grid")
+        monkeypatch.setattr(solver, "fixed_point_solve", fail)
+        out = tmp_path / "artifacts"
+        out.mkdir()
+        for name in ("solution.csv", "residuals.csv", "summary.txt"):
+            (out / name).write_text("older run\n")
+        cfg = write_config(tmp_path, **{"solver.mode": "nonlinear"})
+        assert cli.main(["solve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: the velocity composite "
+                                "vanished on this grid\n")
+        assert not captured.out
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("mode", [
         {}, {"solver.mode": "nonlinear", "solver.max_iter": "30",
              "solver.tol": "1e-10"}], ids=["linear", "nonlinear"])
@@ -702,6 +723,24 @@ class TestCheck:
         assert [p.name for p in tmp_path.iterdir()] == ["calibration.txt"]
         assert (tmp_path / "calibration.txt").read_text() == (
             "operator convention calibration is ambiguous\n")
+
+    def test_kernel_suite_reports_the_held_record(
+            self, tmp_path, capsys, monkeypatch, calibrated_convention):
+        # the kernel suite used to calibrate again in a process that held a
+        # record, where the operators and solver suites report that record
+        from wittflow import verify
+
+        def calibrate():
+            raise AssertionError("calibrated again")
+        monkeypatch.setattr(verify, "calibrate_convention", calibrate)
+        assert cli.main(["check", "--suite", "kernel",
+                         "--output", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == self.SUITES[
+            "kernel"][1]
+        record = calibrated_convention
+        assert (tmp_path / "calibration.txt").read_text().splitlines()[:3] \
+            == [f"fd_power={record.fd_power}", f"sign={record.sign:+d}",
+                f"factorization_power={record.factorization_power}"]
 
     def test_failed_calibration_fails_each_suite_that_reads_it(
             self, tmp_path, capsys, monkeypatch):

@@ -81,19 +81,19 @@ class TestFieldArithmetic:
 class TestBoxDomain:
     def test_element_counts(self):
         d = build_box_domain((1.0, 1.0, 1.0), 1.0, 0.25, 0.25)
-        lateral = np.sum(d.b_kind == 0)
-        caps = np.sum(d.b_kind != 0)
+        lateral = np.sum(d.b_axis < 3)
+        caps = np.sum(d.b_axis == 3)
         assert lateral == 6 * 16 * 4
         assert caps == 2 * 4 ** 3
 
     def test_outward_conormals(self):
         d = build_box_domain((1.0, 1.0, 1.0), 1.0, 0.25, 0.25)
-        upper_x1 = (d.b_kind == 0) & (d.b_axis == 0) & (d.b_side == 1)
+        upper_x1 = (d.b_axis == 0) & (d.b_side == 1)
         assert np.all(d.b_conormal[upper_x1][:, 1] == 1.0)
         assert np.all(d.b_position[upper_x1][:, 0] == 1.0)
-        bottom = d.b_kind == 1
+        bottom = (d.b_axis == 3) & (d.b_side == 0)
         assert np.all(d.b_conormal[bottom][:, 4] == -1.0)
-        top = d.b_kind == 2
+        top = (d.b_axis == 3) & (d.b_side == 1)
         assert np.all(d.b_conormal[top][:, 4] == 1.0)
 
     def test_boundary_measures(self):
@@ -126,7 +126,7 @@ class TestBoxDomain:
 
 
 BOUNDARY_ARRAYS = ("b_position", "b_time", "b_weight", "b_conormal",
-                   "b_kind", "b_axis", "b_side", "b_near", "b_next")
+                   "b_axis", "b_side", "b_near", "b_next")
 
 
 def enumerate_boundary(grid):
@@ -136,13 +136,11 @@ def enumerate_boundary(grid):
     h, dt, dims, nt = grid.h, grid.dt, grid.dims, grid.nt
     rows = {name: [] for name in BOUNDARY_ARRAYS}
 
-    def add(position, time, weight, component, side, kind, axis, near,
-            nxt):
+    def add(position, time, weight, component, side, axis, near, nxt):
         conormal = [0.0] * 7
         conormal[component] = -1.0 if side == 0 else 1.0
         for name, value in zip(BOUNDARY_ARRAYS, (
-                position, time, weight, conormal, kind, axis, side, near,
-                nxt)):
+                position, time, weight, conormal, axis, side, near, nxt)):
             rows[name].append(value)
 
     for axis in range(3):
@@ -163,7 +161,7 @@ def enumerate_boundary(grid):
                         nxt = list(near)
                         nxt[axis] = 1 if side == 0 else dims[axis] - 2
                         add(position, grid.t0 + (j + 0.5) * dt, h * h * dt,
-                            1 + axis, side, 0, axis, near, nxt)
+                            1 + axis, side, axis, near, nxt)
     for side in (0, 1):
         time = grid.t0 if side == 0 else grid.t0 + nt * dt
         for i1 in range(dims[0]):
@@ -171,11 +169,11 @@ def enumerate_boundary(grid):
                 for i3 in range(dims[2]):
                     position = [(i + 0.5) * h for i in (i1, i2, i3)]
                     slab = (0, 1) if side == 0 else (nt - 1, nt - 2)
-                    add(position, time, h ** 3, 4, side, 1 + side, 3,
+                    add(position, time, h ** 3, 4, side, 3,
                         [i1, i2, i3, slab[0]], [i1, i2, i3, slab[1]])
     dtypes = dict.fromkeys(BOUNDARY_ARRAYS, float)
-    dtypes.update(dict.fromkeys(("b_kind", "b_axis", "b_side", "b_near",
-                                 "b_next"), np.int64))
+    dtypes.update(dict.fromkeys(("b_axis", "b_side", "b_near", "b_next"),
+                                np.int64))
     return {name: np.array(rows[name], dtype=dtypes[name])
             for name in BOUNDARY_ARRAYS}
 
@@ -204,13 +202,13 @@ class TestQuotientDomain:
     def test_rank3_has_only_caps(self):
         spec = LatticeSpec(3, (False,) * 3)
         d = build_quotient_domain(spec, [], 0.5, 0.25, 0.125)
-        assert np.all(d.b_kind != 0)
+        assert np.all(d.b_axis == 3)
         assert d.n_boundary == 2 * 4 ** 3
 
     def test_rank1_lateral_on_free_axes_only(self):
         spec = LatticeSpec(1, (False,))
         d = build_quotient_domain(spec, [1.0, 1.0], 0.5, 0.25, 0.125)
-        lateral_axes = set(d.b_axis[d.b_kind == 0])
+        lateral_axes = set(d.b_axis[d.b_axis < 3])
         assert lateral_axes == {1, 2}
 
     def test_node_count(self):

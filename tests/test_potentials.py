@@ -89,12 +89,12 @@ def make_density(ctx, shape, rng):
     if shape == "dense":
         vals[:] = rng.standard_normal(vals.shape)
     elif shape == "lateral":
-        lateral = d.b_kind == 0
+        lateral = d.b_axis < 3
         sel = (lateral & (d.b_axis == d.b_axis[lateral][0])
                & (d.b_side == 1))
         vals[sel] = rng.standard_normal((np.sum(sel), 7))
     elif shape == "cap":
-        sel = d.b_kind == 1
+        sel = (d.b_axis == 3) & (d.b_side == 0)
         vals[sel] = rng.standard_normal((np.sum(sel), 7))
     else:
         from wittflow.potentials import _active_mask
@@ -351,7 +351,7 @@ class TestBoundaryPotential:
         ctx = box_ctx()
         d = ctx.domain
         vals = np.zeros((d.n_boundary, 7))
-        vals[d.b_kind == 2] = 1.0
+        vals[(d.b_axis == 3) & (d.b_side == 1)] = 1.0
         out = cauchy_transform(BoundaryData(vals, d), ctx)
         assert np.all(out.values == 0.0)
 
@@ -638,7 +638,7 @@ class TestShiftedBergmanSystem:
                                          _bergman_system)
         ctx = box_ctx(n=3, nt=nt)
         d = ctx.domain
-        lateral = d.b_kind == 0
+        lateral = d.b_axis < 3
         active = _active_mask(ctx)[lateral].any(axis=1)
         assert set(d.b_near[lateral][active, 3]) == set(range(nt - 2))
         a = _bergman_system(ctx)

@@ -148,6 +148,8 @@ class TestStudies:
         reproduction = verify.volume_reproduction_study(study)
         assert reproduction.levels == rep
         assert reproduction.extras["identity_levels"] == study.levels
+        assert reproduction.fitted_order == study.extras["reproducer_order"]
+        assert reproduction.threshold_order == 1.0
 
     def test_study_serialization_stable(self):
         a = verify.borel_pompeiu_study(levels=((3, 6), (4, 10), (5, 14)))

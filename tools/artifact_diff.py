@@ -9,22 +9,23 @@ with its own ``src`` on ``PYTHONPATH``, and ``solution.csv`` (or its
 absence), ``residuals.csv``, ``summary.txt``, stdout, stderr and the exit
 code are compared byte for byte, and so are the stdout, stderr and exit
 code of ``wittflow --threads 1 constants`` on the same config and seed.
-The solve of the fixed config ``DIVERGING``, whose fixed point diverges
-and exits 3, is compared the same way at each seed.  Each tree also runs
+The solves of two fixed configs are compared the same way at each seed:
+``DIVERGING``, whose fixed point diverges and exits 3, and ``CYLINDER``, a
+linear solve on a cylinder.  Each tree also runs
 ``wittflow --threads 1 check --suite all``, whose exit code, stdout,
 stderr and every file it writes are compared by name and bytes, and
 ``wittflow --threads 1 kernel`` for each call of ``KERNEL_CALLS``, whose
 stdout, stderr and exit code are compared.  Prints one line per workload
-and seed for the solve, one for the constants, one per seed for the
-diverging solve, one for the check and one per kernel call; exits 1 if
+and seed for the solve, one for the constants, one per seed for each fixed
+config, one for the check and one per kernel call; exits 1 if
 any of them differs.  Each line also reports both runs'
 peak RSS (the child's own, from ``os.wait4``), for information only: it
 never counts as a difference.  Both trees' ``src`` are first copied to
 temporary paths of equal length, since the peak RSS moves by up to about
 1 MiB with the length of the path the package is imported from.  A run of
 all three workloads at one seed takes about 30 s per tree on one core, the
-constants about 10 s, the check about 25 s and the kernel calls about
-2 s.
+constants about 10 s, the cylinder about 3 s, the check about 25 s and the
+kernel calls about 2 s.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ KERNEL_CALLS = (
 DIVERGING = {**workloads.config_values("torus_p_fixed_point"),
              "forcing.preset": "vector_bump", "forcing.scale": "1e7",
              "solver.max_iter": "40", "solver.tol": "1e-12"}
+
+# The (a,p) 4x4x3x8 cylinder, the paper's first domain, solved linearly.
+# Its solution moves far under roundoff-level changes of the operators, so
+# it is the strictest byte check of the list.
+CYLINDER = {"domain.kind": "cylinder", "domain.extent": "1,1,0.75",
+            "lattice.rank": "2", "lattice.anti_flags": "true,false",
+            "grid.h": "0.25", "grid.dt": "0.0625", "time.horizon": "0.5",
+            "kernel.k": "1", "quad.tol": "1e-10",
+            "forcing.preset": "vector_bump"}
 
 
 def run_wittflow(tree: Path, out: Path, *args: str) -> dict:
@@ -156,16 +166,18 @@ def main(argv=None) -> int:
                     f"{name} seed {seed} constants",
                     run_constants(old_tree, config, work / "old", seed),
                     run_constants(new_tree, config, work / "new", seed))
-        config = Path(tmp) / "diverging" / "run.cfg"
-        config.parent.mkdir()
-        config.write_text("".join(f"{key} = {value}\n"
-                                  for key, value in DIVERGING.items()))
-        for seed in args.seeds:
-            work = config.parent / f"seed-{seed}"
-            differ |= report(
-                f"diverging seed {seed}",
-                run_tree(old_tree, config, work / "old", seed),
-                run_tree(new_tree, config, work / "new", seed))
+        for name, values in (("diverging", DIVERGING),
+                             ("cylinder", CYLINDER)):
+            config = Path(tmp) / name / "run.cfg"
+            config.parent.mkdir()
+            config.write_text("".join(f"{key} = {value}\n"
+                                      for key, value in values.items()))
+            for seed in args.seeds:
+                work = config.parent / f"seed-{seed}"
+                differ |= report(
+                    f"{name} seed {seed}",
+                    run_tree(old_tree, config, work / "old", seed),
+                    run_tree(new_tree, config, work / "new", seed))
         work = Path(tmp) / "check"
         differ |= report("check --suite all",
                          run_check(old_tree, work / "old" / "out"),
