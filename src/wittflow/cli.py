@@ -338,7 +338,7 @@ def cmd_constants(args) -> int:
     ctx, forcing = _set_up(load_config(args.config))
     c1, c2 = estimate_constants(ctx, seed=args.seed)
     f_norm = discrete_norm(forcing, "L2")
-    admissible, w_const, l_const = convergence_check(c1, c2, f_norm, 0.0)
+    admissible, w_const, l_const = convergence_check(c1, c2, f_norm)
     print(f"C1={c1:.9g} C2={c2:.9g} f_norm={f_norm:.9g} "
           f"W={'n/a' if w_const is None else format(w_const, '.9g')} "
           f"L={'n/a' if l_const is None else format(l_const, '.9g')} "

@@ -545,16 +545,26 @@ def _assemble(apply_block, n: int, block: int) -> np.ndarray:
 
 
 def _pseudo_inverse(a: np.ndarray) -> _PseudoInverse:
-    """Truncated SVD of a dense system ``a`` with at least one column.
+    """Truncated SVD of a dense system ``a`` with at least one column, by
+    numpy's ``gesdd``; the tall Bergman system takes its R factor's SVD
+    instead (``_bergman_factorization``).
 
-    The singular values above ``_RCOND`` times the largest are kept.  The
-    factors are truncated by slicing: a boolean-mask copy would change their
-    memory layout, hence the BLAS path and the roundoff of every solve.  The
-    layout of ``a`` does not matter: numpy's SVD gives the same ``u``,
+    The layout of ``a`` does not matter: numpy's SVD gives the same ``u``,
     ``s``, ``vt`` bytes and strides for a column-major matrix (as the
     assemblies build) and for a row-major copy of it.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return _truncated(*np.linalg.svd(a, full_matrices=False))
+
+
+def _truncated(u: np.ndarray, s: np.ndarray,
+               vt: np.ndarray) -> _PseudoInverse:
+    """The SVD ``u diag(s) vt`` cut to the singular values above
+    ``_RCOND`` times the largest.
+
+    The factors are truncated by slicing: a boolean-mask copy would change
+    their memory layout, hence the BLAS path and the roundoff of every
+    solve.
+    """
     if s[0] == 0.0:
         raise ConditioningError(
             "system vanished identically; no pseudo-inverse exists")
@@ -665,9 +675,25 @@ def _bergman_factorization(ctx: OperatorContext) -> _PseudoInverse:
     volume potential (the system maps between different component
     sectors).  The truncated SVD keeps the projector exactly idempotent
     even when strict causality makes the system rank deficient.
+
+    The tall system is factored the way ``gesdd`` factors a matrix with at
+    least 11/6 times as many rows as columns (Chan's R-SVD): QR, the SVD
+    of R, and ``q @ u_r``, written over ``q``.  Each stage drops its
+    input, so the system, built here to be this frame's only reference, is
+    freed before the SVD.  The factors are ``gesdd``'s bit for bit on the
+    4^3x8 tori and the (a,p) cylinder; the box's ``u`` differs at
+    roundoff.  Where the product lands moves the tori's later pressure SVD
+    peaks by up to 2 MiB through heap layout (README, "Memory").
     """
-    return ctx._cached("bergman_factorization",
-                       lambda: _pseudo_inverse(_bergman_system(ctx)))
+    def build():
+        a = _bergman_system(ctx)
+        q, r = np.linalg.qr(a)
+        del a
+        u_r, s, vt = np.linalg.svd(r, full_matrices=False)
+        del r
+        np.matmul(q, u_r, out=q)
+        return _truncated(q, s, vt)
+    return ctx._cached("bergman_factorization", build)
 
 
 def _bergman_projection(values: np.ndarray, ctx: OperatorContext,

@@ -241,7 +241,7 @@ def fixed_point_solve(prob: NavierStokesProblem, max_iter: int = 50,
         constants = ContractionConstants(*constants, None, None)
     c1, c2 = constants
     admissible, w_const, l_const = convergence_check(
-        c1, c2, discrete_norm(prob.forcing, "L2"), 0.0)
+        c1, c2, discrete_norm(prob.forcing, "L2"))
     warnings = []
     if not (converged or diverged):
         warnings.append("iteration cap reached before the tolerance")
@@ -374,22 +374,22 @@ def _forcing_bound(c1: float, c2: float) -> float:
     return 1.0 / (16.0 * c1 * c1 * c2)
 
 
-def convergence_check(c1: float, c2: float, f_norm: float, u0_norm: float):
+def convergence_check(c1: float, c2: float, f_norm: float):
     """Closed-form admissibility verdict for the fixed-point iteration.
 
     Returns (admissible, W, L).  W and L are defined whenever the forcing
     satisfies the smallness condition; admissibility additionally requires
-    the starting radius bound and a strict contraction factor.
+    a strict contraction factor.  The iteration starts from rest, which
+    lies inside every starting radius.
     """
     if not (c1 > 0 and c2 > 0):
         raise ValueError("constants must be positive")
-    if not (f_norm >= 0 and u0_norm >= 0):
-        raise ValueError("norms must be nonnegative")
+    if not f_norm >= 0:
+        raise ValueError("forcing norm must be nonnegative")
     if f_norm > _forcing_bound(c1, c2):
         return False, None, None
     w = float(np.sqrt(max(1.0 / (16.0 * c1 * c1 * c2 * c2)
                           - f_norm / c2, 0.0)))
     l_const = 1.0 - 4.0 * c1 * c2 * w
-    radius = min(1.0 / (2.0 * c1 * c2), 1.0 / (4.0 * c1 * c2) + w)
-    admissible = (u0_norm <= radius) and (l_const < 1.0)
+    admissible = l_const < 1.0
     return admissible, w, l_const

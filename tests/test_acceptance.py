@@ -185,15 +185,15 @@ class TestCriterion9:
     def test_fixed_point_contraction(self):
         start = time.time()
         # closed-formula checks, exact
-        adm0, w0, l0 = convergence_check(1.0, 1.0, 0.0, 0.0)
+        adm0, w0, l0 = convergence_check(1.0, 1.0, 0.0)
         assert (adm0, w0, l0) == (True, 0.25, 0.0)
-        admb, wb, lb = convergence_check(1.0, 1.0, 1.0 / 16.0, 0.0)
+        admb, wb, lb = convergence_check(1.0, 1.0, 1.0 / 16.0)
         assert (admb, wb, lb) == (False, 0.0, 1.0)
 
         run = verify.fixed_point_run()
         f_norm = discrete_norm(run.forcing, "L2")
         admissible, w_const, l_const = convergence_check(
-            run.constants[0], run.constants[1], f_norm, 0.0)
+            run.constants[0], run.constants[1], f_norm)
         assert admissible and l_const < 1.0
         report = run.report
         elapsed = time.time() - start

@@ -626,6 +626,56 @@ class TestShiftedBergmanSystem:
         assert_bitwise(fac.s, want.s)
         assert_bitwise(fac.vt, want.vt)
 
+    def test_cylinder_factorization_is_gesdd_bitwise(self):
+        # the (a,p) 4x4x3x8 cylinder's 2240x864 system: the QR, R's SVD
+        # and the product q @ u_r give the bytes of gesdd on the whole
+        # system, which takes the same steps inside for a tall matrix
+        from wittflow.potentials import (_bergman_factorization,
+                                         _bergman_system, _pseudo_inverse)
+        ctx = SHIFT_GEOMETRIES["cylinder_ap"]()
+        fac = _bergman_factorization(ctx)
+        want = _pseudo_inverse(_bergman_system(ctx))
+        assert_bitwise(fac.u, want.u)
+        assert_bitwise(fac.s, want.s)
+        assert_bitwise(fac.vt, want.vt)
+
+    def test_box_factorization_is_gesdd_within_roundoff(self):
+        # on the 3^3x6 box's 2268x918 system s and vt came out bitwise and
+        # u 1.9e-16 off gesdd's (the product q @ u_r rounds differently);
+        # the bound allows a few ulps of a unit vector's entries
+        from wittflow.potentials import (_bergman_factorization,
+                                         _bergman_system, _pseudo_inverse)
+        ctx = pruned_ctx("box_3x6")
+        fac = _bergman_factorization(ctx)
+        want = _pseudo_inverse(_bergman_system(ctx))
+        assert fac.u.shape == want.u.shape and len(want.s) == 592
+        assert np.abs(fac.s - want.s).max() <= 1e-15 * want.s[0]
+        assert np.abs(fac.u - want.u).max() <= 1e-15
+        assert np.abs(fac.vt - want.vt).max() <= 1e-15
+
+    def test_system_is_freed_before_the_svd(self, monkeypatch):
+        # the factorization holds the only reference to the assembled
+        # system and drops it after the QR factorization, so R's SVD runs
+        # without it
+        import weakref
+        from wittflow import potentials
+        ctx = box_ctx(n=3, nt=3)
+        assemble, svd = potentials._bergman_system, np.linalg.svd
+        refs, alive = [], []
+
+        def assembled(ctx):
+            a = assemble(ctx)
+            refs.append(weakref.ref(a))
+            return a
+
+        def checked(a, *args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(potentials, "_bergman_system", assembled)
+        monkeypatch.setattr(np.linalg, "svd", checked)
+        potentials._bergman_factorization(ctx)
+        assert alive == [[False]]
+
     @pytest.mark.parametrize("nt", [2, 3])
     def test_short_horizons(self, nt):
         # slab nt - 2 is inert: at nt = 3 only slab 0 holds active lateral

@@ -178,6 +178,6 @@ class TestFixedPointPreset:
         from wittflow.solver import convergence_check
         ctx, forcing, (c1, c2) = verify.fixed_point_preset(n=3, nt=6)
         f_norm = discrete_norm(forcing, "L2")
-        admissible, w, l_const = convergence_check(c1, c2, f_norm, 0.0)
+        admissible, w, l_const = convergence_check(c1, c2, f_norm)
         assert admissible
         assert l_const < 1.0

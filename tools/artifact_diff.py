@@ -18,7 +18,10 @@ stderr and every file it writes are compared by name and bytes, and
 stdout, stderr and exit code are compared.  Prints one line per workload
 and seed for the solve, one for the constants, one per seed for each fixed
 config, one for the check and one per kernel call; exits 1 if
-any of them differs.  Each line also reports both runs'
+any of them differs.  Where a ``solution.csv`` differs, its line also gives
+the largest move in u and in p, scaled as perfbench's reference check
+scales them (``solution_moves``), so a roundoff-level change shows its size
+beside the byte difference.  Each line also reports both runs'
 peak RSS (the child's own, from ``os.wait4``), for information only: it
 never counts as a difference.  Both trees' ``src`` are first copied to
 temporary paths of equal length, since the peak RSS moves by up to about
@@ -37,6 +40,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -124,15 +129,41 @@ def run_check(tree: Path, out: Path) -> dict:
     return got
 
 
+def solution_moves(old: bytes, new: bytes) -> tuple[float, float]:
+    """Largest move of the velocity and of the pressure from the
+    ``solution.csv`` ``old`` to ``new`` on the same grid.
+
+    Each block is scaled as perfbench's reference check scales it: by its
+    own largest entry in ``old``, but by no less than 1e-3 of ``old``'s
+    largest u or p entry, so a block that is roundoff (the box velocity) is
+    measured on the scale of the whole solution.
+    """
+    want, got = (np.loadtxt(csv.decode().splitlines(), delimiter=",",
+                            skiprows=1, ndmin=2)[:, 4:] for csv in (old, new))
+    overall = np.abs(want).max()
+    moves = []
+    for block in (slice(0, 3), slice(3, 4)):
+        scale = max(np.abs(want[:, block]).max(), 1e-3 * overall)
+        moves.append(float(np.abs(got[:, block] - want[:, block]).max()
+                           / scale))
+    return moves[0], moves[1]
+
+
 def report(what: str, old: dict, new: dict) -> bool:
     """Print whether ``old`` and ``new`` agree key for key, peak RSS aside,
-    and both peaks; return True if they differ."""
+    how far a differing solution moved, and both peaks; return True if they
+    differ."""
     diffs = sorted(key for key in old.keys() | new.keys()
                    if key != PEAK_RSS and old.get(key) != new.get(key))
-    print(f"{what}: " + (f"DIFFER in {', '.join(diffs)}" if diffs
-                         else f"identical, exit code {new['exit code']}")
-          + f"; peak RSS {old[PEAK_RSS]:.2f} -> {new[PEAK_RSS]:.2f} MiB",
-          flush=True)
+    line = (f"DIFFER in {', '.join(diffs)}" if diffs
+            else f"identical, exit code {new['exit code']}")
+    if "solution.csv" in diffs and old.get("solution.csv") \
+            and new.get("solution.csv"):
+        u_move, p_move = solution_moves(old["solution.csv"],
+                                        new["solution.csv"])
+        line += f" (moved u {u_move:.2e}, p {p_move:.2e} of scale)"
+    print(f"{what}: {line}; peak RSS {old[PEAK_RSS]:.2f} -> "
+          f"{new[PEAK_RSS]:.2f} MiB", flush=True)
     return bool(diffs)
 
 
